@@ -1,32 +1,22 @@
-"""LP solve-layer benchmark: presolve + blocks + warm lex + worker pool.
+"""LP solve-layer benchmark: presolve + blocks + warm lex + stacked solves.
 
 Times ``solve_and_resolve`` — everything after constraint derivation:
 the lexicographic LP solve loop plus bound resolution — on the Fig. 10
 scalability programs at moment degree 4, the workload whose stage split
 motivated the LP reduction layer (after PR 4 vectorized derivation, ~80%
 of analysis wall time sat in the solve loop; see ``BENCH_constraints.json``
-``stage_split_rdwalk_chain_2``).  Four configurations:
+``stage_split_rdwalk_chain_2``).  Three configurations:
 
 * ``reduced``  — the default path (``REPRO_DISABLE_LP_REDUCE`` unset):
   presolve over the row buffers, connected-component block models,
   per-block lexicographic pins;
 * ``direct``   — the kill-switch path: the raw system handed to the
   warm-started incremental backend (the PR-4 solve path, unchanged);
-* ``parallel`` — the reduced path with block solves dispatched over the
-  process-parallel worker pool (:mod:`repro.lp.parallel`) at 1, 2, 4 and
-  8 workers — the worker-scaling curve;
 * ``seed``     — hardcoded PR-4 timings (commit ``609d83e``) from the
   machine grid this file was introduced on; the acceptance metric is
   ``seed_total / reduced_total >= 2`` on that machine, with a
   ``direct_total / reduced_total >= 1.5`` floor as the hardware-portable
   proxy (mirroring ``bench_constraint_derivation``).
-
-The parallel speedup target (>= 2.5x at 4+ workers) is asserted only on
-machines with at least 4 CPU cores: block solves are CPU-bound, so on a
-1-2 core box the pool can only add IPC overhead and the curve records
-that honestly instead of faking a ratio.  The curve itself (and the
-``parallel_solve_total_seconds`` key CI gates) is recorded on any
-hardware.
 
 ``rdwalk_chain(3)`` at moment degree 4 is the degenerate-template
 instance: its 4th-moment stage objective rides a ray of the certificate
@@ -52,9 +42,9 @@ and times ``pipeline.analyze`` on the primed pipeline, so the number is the
 solve-and-resolve cost one ``analyze`` call pays after derivation.  Rounds
 run via :func:`_harness.timed_median`; the recorded time is the best of k
 (noise is additive; the median rides along in the JSON).  Results land in
-``BENCH_solve.json`` (CI gates ``solve_total_seconds`` and
-``parallel_solve_total_seconds`` against the committed baseline) together
-with the LP shape stats recorded from the reduction layer itself.
+``BENCH_solve.json`` (CI gates ``solve_total_seconds`` against the
+committed baseline) together with the LP shape stats recorded from the
+reduction layer itself.
 """
 
 import json
@@ -64,7 +54,6 @@ import pathlib
 from _harness import emit, timed_median
 from repro import AnalysisOptions, AnalysisPipeline
 from repro.lp import reduce as lp_reduce
-from repro.lp.parallel import shutdown_pool
 from repro.lp.reduce import reduce_override
 from repro.programs import registry
 from repro.programs.synthetic import coupon_chain, rdwalk_chain
@@ -96,16 +85,12 @@ RESTART_INSTANCE = ("rdwalk_chain(3)", lambda: rdwalk_chain(3))
 #: same-shape blocks (the stacking trigger).
 STACKED_WORKLOAD = ("absynth-c4b_t13", "absynth-condand", "absynth-rdseql")
 
-#: Worker counts of the scaling curve.
-PARALLEL_JOBS = (1, 2, 4, 8)
-
 MOMENT_DEGREE = 4
 ROUNDS = 5
 WARMUP = 1
 
 
-def _solve_seconds(make, reduced: bool, lp_jobs: "int | None" = None,
-                   options: AnalysisOptions | None = None):
+def _solve_seconds(make, reduced: bool, options: AnalysisOptions | None = None):
     """Best-of-k solve+resolve time with the reduction layer forced on/off.
 
     Derivation (stages 1-3) is primed in the untimed per-round setup; a
@@ -117,7 +102,7 @@ def _solve_seconds(make, reduced: bool, lp_jobs: "int | None" = None,
     """
     state: dict = {}
     if options is None:
-        options = AnalysisOptions(moment_degree=MOMENT_DEGREE, lp_jobs=lp_jobs)
+        options = AnalysisOptions(moment_degree=MOMENT_DEGREE)
 
     def setup():
         pipe = AnalysisPipeline(make())
@@ -186,18 +171,6 @@ def test_solve_layer(benchmark):
         reduced[name], reduced_median[name], shapes[name] = _solve_seconds(make, True)
         direct[name], direct_median[name], _ = _solve_seconds(make, False)
 
-    # Worker-scaling curve: the same reduced workload, block solves
-    # dispatched at 1/2/4/8 workers (jobs=1 is the sequential in-process
-    # path — the IPC-free baseline of the curve).
-    scaling: dict[int, float] = {}
-    for jobs in PARALLEL_JOBS:
-        total = 0.0
-        for name, make in WORKLOAD.items():
-            best, _, _ = _solve_seconds(make, True, lp_jobs=jobs)
-            total += best
-        scaling[jobs] = total
-    shutdown_pool()
-
     # Degenerate-template instance: the default path must now solve it
     # (template-restart ladder); the kill-switch path's outcome is
     # recorded, not asserted — it has no per-block pins to certify under.
@@ -231,8 +204,6 @@ def test_solve_layer(benchmark):
     speedup_vs_seed = seed_total / reduced_total
     speedup_vs_direct = direct_total / reduced_total
     cores = os.cpu_count() or 1
-    best_jobs = min(scaling, key=scaling.get)
-    parallel_speedup = scaling[1] / scaling[best_jobs]
 
     lines = [
         f"LP solve-layer benchmark ({MOMENT_DEGREE}th-moment fig10 workload, "
@@ -256,12 +227,6 @@ def test_solve_layer(benchmark):
     lines.append(
         f"speedup: {speedup_vs_seed:.2f}x vs seed, "
         f"{speedup_vs_direct:.2f}x vs reduction-off"
-    )
-    lines.append(
-        "worker scaling ("
-        + f"{cores} cores): "
-        + ", ".join(f"{j} jobs: {scaling[j]:.3f}s" for j in PARALLEL_JOBS)
-        + f" — best {scaling[1] / scaling[best_jobs]:.2f}x at {best_jobs}"
     )
     lines.append(
         f"{restart_name}: degenerate 4th-moment template — reduced: "
@@ -304,12 +269,6 @@ def test_solve_layer(benchmark):
                 "solve_total_seconds": round(reduced_total, 4),
                 "speedup_vs_seed": round(speedup_vs_seed, 3),
                 "speedup_vs_direct": round(speedup_vs_direct, 3),
-                "parallel_scaling_seconds": {
-                    str(j): round(scaling[j], 4) for j in PARALLEL_JOBS
-                },
-                "parallel_solve_total_seconds": round(scaling[4], 4),
-                "parallel_best_jobs": best_jobs,
-                "parallel_speedup": round(parallel_speedup, 3),
                 "restart_instance": {restart_name: restart},
                 "stacked_batches": stacked,
             },
@@ -333,16 +292,6 @@ def test_solve_layer(benchmark):
         f"(seed {seed_total:.3f}s), {speedup_vs_direct:.2f}x vs reduction-off "
         f"(direct {direct_total:.3f}s, reduced {reduced_total:.3f}s)"
     )
-
-    # Parallel acceptance (>= 2.5x at 4+ workers) only where the hardware
-    # can express it: block solves are CPU-bound, so with < 4 cores the
-    # curve records the IPC overhead honestly instead of faking a ratio.
-    if cores >= 4:
-        best_4plus = min(scaling[j] for j in PARALLEL_JOBS if j >= 4)
-        assert scaling[1] / best_4plus >= 2.5, (
-            f"parallel scaling below 2.5x on {cores} cores: "
-            + ", ".join(f"{j}: {scaling[j]:.3f}s" for j in PARALLEL_JOBS)
-        )
 
 
 def test_reduction_shrinks_the_solved_core():

@@ -38,10 +38,7 @@ import sys
 GATES: dict[str, tuple[tuple[str, float | None], ...]] = {
     "BENCH_lp_assembly.json": (("incremental_total_seconds", None),),
     "BENCH_constraints.json": (("derivation_total_seconds", None),),
-    "BENCH_solve.json": (
-        ("solve_total_seconds", None),
-        ("parallel_solve_total_seconds", None),
-    ),
+    "BENCH_solve.json": (("solve_total_seconds", None),),
     "BENCH_mc.json": (("vectorized_total_seconds", None),),
     # Queue totals are poll-granular and small; give them a wider budget.
     "BENCH_queue.json": (("queue_batch_total_seconds", 0.75),),

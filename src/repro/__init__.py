@@ -29,8 +29,7 @@ Quickstart::
     print(result.variance({"d": 10, "x": 0, "t": 0}))
 """
 
-from repro.analysis.engine import (
-    AnalysisError,
+from repro.analysis.pipeline import (
     AnalysisOptions,
     AnalysisPipeline,
     analyze,
@@ -38,6 +37,7 @@ from repro.analysis.engine import (
     analyze_upper_raw,
 )
 from repro.analysis.results import MomentBoundResult
+from repro.analysis.transformer import AnalysisError
 from repro.interp.mc import (
     CostStatistics,
     estimate_cost_statistics,

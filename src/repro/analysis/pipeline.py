@@ -88,25 +88,20 @@ class AnalysisOptions:
     structure-exploiting LP reduction layer (:mod:`repro.lp.reduce`):
     ``None`` follows the process-wide switch (on unless
     ``REPRO_DISABLE_LP_REDUCE`` is set), ``False``/``True`` force it off/on
-    for this analysis.  ``lp_jobs`` is the LP worker-process budget for
-    the parallel block-solve layer (:mod:`repro.lp.parallel`): ``None``
-    follows the ``REPRO_LP_JOBS`` environment default (unset ⇒ serial),
-    ``0`` means one worker per CPU, ``1`` forces the in-process sequential
-    path.  Parallelism never changes results, so ``lp_jobs`` is not part
-    of any cache key.
+    for this analysis.
 
     ``deadline_seconds`` bounds the analysis wall-clock: a monotonic
     :class:`~repro.deadline.Deadline` token is armed for the run and
     checked at every stage boundary, inside both LP backends, the reduce
-    block loop, the parallel pool's parent-side wait, and vectorized MC
-    supersteps; expiry raises :class:`~repro.deadline.AnalysisTimeout`.
+    block loop, and vectorized MC supersteps; expiry raises
+    :class:`~repro.deadline.AnalysisTimeout`.
     ``degrade`` opts into the graceful-degradation ladder: on timeout (or
     an :class:`~repro.lp.core.LPError` surviving the template-restart
     ladder) the analysis is retried at descending moment degrees, each
     rung under a fresh budget, and the result carries a ``degraded``
-    provenance block.  Both are runtime-only knobs — like ``lp_jobs``
-    they never enter cache keys (an un-degraded result is identical with
-    or without them), and degraded results are never cached at all.
+    provenance block.  Both are runtime-only knobs: they never enter
+    cache keys (an un-degraded result is identical with or without
+    them), and degraded results are never cached at all.
     """
 
     moment_degree: int = 2
@@ -120,7 +115,6 @@ class AnalysisOptions:
     degree_cap: int | None = None
     backend: str | None = None
     lp_reduce: bool | None = None
-    lp_jobs: int | None = None
     deadline_seconds: float | None = None
     degrade: bool = False
 
@@ -769,11 +763,8 @@ def _lexicographic_solve(
     stage objective's own units — so results document how tight each pin
     actually was.
     """
-    from repro.lp.parallel import resolve_jobs
-
     m = main_pre.degree
     reduce = options.effective_lp_reduce()
-    jobs = resolve_jobs(options.lp_jobs)
     stage_objectives: list[AffForm] = []
     for k in range(1, m + 1):
         obj = AffForm.constant(0.0)
@@ -794,7 +785,7 @@ def _lexicographic_solve(
         total = AffForm.constant(0.0)
         for obj in stage_objectives:
             total = total + obj
-        solution = lp.solve(total, bound=options.lp_bound, reduce=reduce, jobs=jobs)
+        solution = lp.solve(total, bound=options.lp_bound, reduce=reduce)
         return solution, [solution.objective], [solution.status], [1.0], [0.0]
 
     solution = None
@@ -814,9 +805,7 @@ def _lexicographic_solve(
         scale = max(abs(c) for c in obj.terms.values())
         scaled = obj * (1.0 / scale)
         try:
-            solution = lp.solve(
-                scaled, bound=options.lp_bound, reduce=reduce, jobs=jobs
-            )
+            solution = lp.solve(scaled, bound=options.lp_bound, reduce=reduce)
         except AnalysisTimeout as exc:
             # Stage k bounds the k-th moment: record how many moments were
             # fully solved so the degradation ladder can start there.
@@ -838,7 +827,7 @@ def _lexicographic_solve(
         else:
             tolerances.append(0.0)
     if solution is None:
-        solution = lp.solve(None, bound=options.lp_bound, reduce=reduce, jobs=jobs)
+        solution = lp.solve(None, bound=options.lp_bound, reduce=reduce)
     return solution, objective_values, statuses, scales, tolerances
 
 

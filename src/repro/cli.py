@@ -102,13 +102,6 @@ def _add_backend_flag(cmd: argparse.ArgumentParser) -> None:
         help="solve the raw LP directly, bypassing the presolve/"
         "decomposition reduction layer (repro.lp.reduce)",
     )
-    cmd.add_argument(
-        "--lp-jobs", type=int, default=None, metavar="N",
-        help="LP block-solve worker processes: unset reads REPRO_LP_JOBS "
-        "(unset means sequential), 0 means one per CPU, 1 means sequential; "
-        "in process-mode batch runs --workers takes precedence and workers "
-        "solve sequentially",
-    )
 
 
 def _add_cache_flag(cmd: argparse.ArgumentParser) -> None:
@@ -558,7 +551,6 @@ def _run_analyze(args, out) -> int:
         objective_valuations=valuations,
         backend=args.backend,
         lp_reduce=False if args.no_lp_reduce else None,
-        lp_jobs=args.lp_jobs,
         deadline_seconds=args.deadline,
         degrade=args.degrade,
     )
@@ -690,36 +682,6 @@ def _print_reduction_stats(stats, enabled: bool, out) -> None:
             "blocks solved as one block-diagonal LP",
             file=out,
         )
-    _print_parallel_stats(stats.get("parallel"), out)
-
-
-def _print_parallel_stats(par, out) -> None:
-    """Parallel block-solve statistics (``--profile`` with --lp-jobs > 1)."""
-    if not par:
-        return
-    wall = par["wall_seconds"]
-    overhead = par["overhead_seconds"] + par["serialize_seconds"]
-    share = overhead / wall if wall > 0 else 0.0
-    print(
-        f"--- lp parallel: {par['jobs']} workers, {par['tasks']} block solves "
-        f"over {par['dispatches']} dispatches ---",
-        file=out,
-    )
-    print(
-        f"ipc: {par['payload_bytes'] / 1024:.1f} KiB shipped, "
-        f"serialize {par['serialize_seconds']:.3f}s; dispatch wall "
-        f"{wall:.3f}s, overhead {overhead:.3f}s ({share:.0%} of wall)",
-        file=out,
-    )
-    per_worker = ", ".join(
-        f"w{wid}: {par['worker_blocks'].get(wid, 0)} blocks/"
-        f"{par['worker_seconds'].get(wid, 0.0):.3f}s"
-        for wid in sorted(
-            set(par["worker_blocks"]) | set(par["worker_seconds"])
-        )
-    )
-    if per_worker:
-        print(f"per-worker: {per_worker}", file=out)
 
 
 def _run_batch(args, out) -> int:
@@ -736,7 +698,6 @@ def _run_batch(args, out) -> int:
             objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
             backend=args.backend,
             lp_reduce=False if args.no_lp_reduce else None,
-            lp_jobs=args.lp_jobs,
         )
         workload[name] = (registry.parsed(name), options)
     if not workload:
@@ -1031,7 +992,6 @@ def _run_fuzz(args, out) -> int:
             cache=cache,
             out_dir=args.out,
             lp_reduce=False if args.no_lp_reduce else None,
-            lp_jobs=args.lp_jobs,
         )
         combined.outcomes.extend(report.outcomes)
         combined.elapsed = time.perf_counter() - started

@@ -18,18 +18,12 @@ clock every layer consults:
   prevent.
 * :func:`deadline_scope` / :func:`current_deadline` — a context-variable
   scope.  The pipeline arms the token once in ``analyze`` and every layer
-  below (backends, the reduce block loop, the parallel pool's parent-side
-  wait, vectorized MC supersteps) reads it ambiently, so no solve signature
-  carries a deadline parameter.
+  below (backends, the reduce block loop, vectorized MC supersteps) reads
+  it ambiently, so no solve signature carries a deadline parameter.
 
 Deadlines are runtime-only: they never enter cache keys, and an analysis
 run with a generous deadline produces byte-identical bounds to one with no
 deadline at all (the token is only ever *read*, never folded into results).
-
-Worker processes do not inherit the parent's context variables — block
-tasks crossing the process boundary carry a numeric remaining-budget
-snapshot instead (see :class:`repro.lp.parallel.BlockTask`), and the
-parent-side pool wait is the authoritative hang safety net.
 """
 
 from __future__ import annotations

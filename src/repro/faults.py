@@ -1,8 +1,8 @@
 """Seeded fault injection: deterministic failure at named points.
 
 Every retry/backoff/respawn path added since the durable queue landed —
-cache corrupt-entry discard, ``BEGIN IMMEDIATE`` transaction retries, LP
-worker crash isolation, lease re-delivery — exists to survive failures that
+cache corrupt-entry discard, ``BEGIN IMMEDIATE`` transaction retries,
+lease re-delivery — exists to survive failures that
 are rare in a healthy environment.  This module makes those failures
 *orderable*: arm a named fault point with a mode, a probability, and a
 seed, and the exact same faults fire on every run.
@@ -12,7 +12,7 @@ Grammar (the ``REPRO_FAULTS`` environment variable)::
     REPRO_FAULTS=point:mode:prob:seed[,point:mode:prob:seed...]
 
 * ``point`` — one of :data:`POINTS` (``cache.read``, ``cache.write``,
-  ``store.tx``, ``lp.solve``, ``lp.worker_ipc``, ``pipeline.stage``).
+  ``store.tx``, ``lp.solve``, ``pipeline.stage``).
 * ``mode`` — ``raise`` (throw :class:`FaultInjected`), ``delay`` (sleep;
   ``delay@SECONDS`` picks the duration, default 0.05 — a long delay at
   ``pipeline.stage`` is the canonical hang injection), or ``corrupt``
@@ -55,7 +55,6 @@ POINTS = (
     "cache.write",
     "store.tx",
     "lp.solve",
-    "lp.worker_ipc",
     "pipeline.stage",
 )
 

@@ -29,7 +29,6 @@ from repro.lp.backends.incremental import IncrementalBackend, highs_available
 from repro.lp.backends.scipy_dense import ScipyDenseBackend
 
 register_backend("dense", ScipyDenseBackend)
-register_backend("scipy-dense", ScipyDenseBackend)  # explicit alias
 if highs_available():
     register_backend("incremental", IncrementalBackend)
 else:  # pragma: no cover - scipy without bundled highspy

@@ -216,7 +216,6 @@ class LPProblem:
         bound: float = 1e12,
         regularization: float = 1e-7,
         reduce: bool | None = None,
-        jobs: int = 1,
     ) -> LPSolution:
         """Solve the accumulated system, optimizing ``objective``.
 
@@ -235,11 +234,6 @@ class LPProblem:
         (on unless ``REPRO_DISABLE_LP_REDUCE`` is set), ``False`` forces the
         direct backend solve, ``True`` forces reduction.  Either path
         returns full-variable-space values.
-
-        ``jobs`` > 1 dispatches independent reduced blocks across the
-        process-parallel solve layer (:mod:`repro.lp.parallel`); it has no
-        effect on unreduced solves and never changes results — callers
-        resolve it via :func:`repro.lp.parallel.resolve_jobs`.
         """
         from repro import faults
 
@@ -254,7 +248,7 @@ class LPProblem:
             if self._reducer is None:
                 self._reducer = ReducedSolver(self)
             return self._reducer.solve(
-                terms, const, minimize, bound, regularization, jobs=jobs
+                terms, const, minimize, bound, regularization
             )
         if self._reducer is not None:
             # A direct solve supersedes whatever the reducer last produced;

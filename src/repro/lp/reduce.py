@@ -54,7 +54,6 @@ parity on the registry and fuzz corpus.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from contextlib import contextmanager
@@ -63,9 +62,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.deadline import AnalysisTimeout, current_deadline
+from repro.deadline import current_deadline
 from repro.lp.backends.base import EQ, GE, Checkpoint
-from repro.lp.core import LPError, LPInfeasibleError, LPSolution
+from repro.lp.core import LPInfeasibleError, LPSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.lp.backends.base import LPBackend
@@ -87,11 +86,9 @@ _ENABLED = not os.environ.get("REPRO_DISABLE_LP_REDUCE")
 #: stacking is exact — the blocks stay independent and the stage
 #: objectives separable, so the joint optimum restricts to each block's
 #: own optimum — and it amortizes per-solve overhead (model build, solver
-#: presolve, one process round-trip under the parallel layer) over the
-#: whole group, which is where the many-tiny-blocks workloads (fuzz
-#: corpus, lexicographic rider blocks) spend their time.  The partition is
-#: a deterministic function of the reduction alone — never of ``lp_jobs``
-#: — so parallel-on and parallel-off solves see identical models.
+#: presolve) over the whole group, which is where the many-tiny-blocks
+#: workloads (fuzz corpus, lexicographic rider blocks) spend their time.
+#: The partition is a deterministic function of the reduction alone.
 _STACK_MIN_BLOCKS = 3
 _STACK_MAX_COLS = 160
 
@@ -233,7 +230,7 @@ class _LiveBlock:
     """A pristine block (or a stacked / cut-merged union) with a live backend."""
 
     __slots__ = (
-        "gcols", "local_of", "backend", "shim", "pristine_ids", "uid",
+        "gcols", "local_of", "backend", "shim", "pristine_ids",
         "dirty", "last_values", "last_obj", "last_opt",
     )
 
@@ -245,17 +242,12 @@ class _LiveBlock:
         backend: "LPBackend",
         owner: "LPProblem",
         pristine_ids: tuple[int, ...],
-        uid: int = 0,
     ) -> None:
         self.gcols = gcols
         self.local_of = local_of
         self.backend = backend
         self.shim = _BlockProblem(len(gcols), nonneg, owner)
         self.pristine_ids = pristine_ids
-        #: Stable identity of this live model across solves — the parallel
-        #: layer's worker routing and warm-cache key (rows under one uid
-        #: are append-only; merges and rebuilds allocate a fresh uid).
-        self.uid = uid
         #: ``dirty`` marks blocks whose row set changed since the last solve;
         #: a clean block with no objective terms keeps its previous feasible
         #: point instead of paying another (trivial but non-free) solve.
@@ -292,10 +284,6 @@ class _Reduction:
     blocks: list[_PristineBlock]
     stats: ReductionStats
 
-
-#: Process-unique solver identities, part of the parallel layer's worker
-#: cache keys — two solvers' blocks must never collide on one worker.
-_SOLVER_TOKENS = itertools.count()
 
 #: Rank of each robustness-cascade rung; a multi-block solve reports the
 #: worst rung any block needed.
@@ -362,15 +350,10 @@ class ReducedSolver:
         self.block_pins = 0
         self.invalidations = 0
         self.last_block_seconds: list[tuple[int, float]] = []
-        self._token = next(_SOLVER_TOKENS)
-        self._next_uid = 0
         #: Live-partition stacking outcome of the current ``_build_live``:
         #: how many same-shape groups were concatenated and their sizes.
         self.stacked_groups = 0
         self.stacked_sizes: list[int] = []
-        #: Accumulated parallel-dispatch accounting across this solver's
-        #: lifetime (``None`` until a solve actually runs parallel).
-        self.parallel_stats: dict | None = None
 
     # -- public surface -----------------------------------------------------
 
@@ -384,8 +367,6 @@ class ReducedSolver:
         out["block_merges"] = self.block_merges
         out["stacked_groups"] = self.stacked_groups
         out["stacked_sizes"] = list(self.stacked_sizes)
-        if self.parallel_stats is not None:
-            out["parallel"] = dict(self.parallel_stats)
         if include_times:
             out["block_solve_seconds"] = [
                 (bid, round(sec, 6)) for bid, sec in self.last_block_seconds
@@ -487,7 +468,6 @@ class ReducedSolver:
         minimize: bool,
         bound: float,
         regularization: float,
-        jobs: int = 1,
     ) -> LPSolution:
         problem = self.problem
         self.last_was_reduced = False
@@ -499,7 +479,7 @@ class ReducedSolver:
             try:
                 self._ensure(bound)
                 return self._solve_reduced(
-                    objective, objective_const, minimize, bound, regularization, jobs
+                    objective, objective_const, minimize, bound, regularization
                 )
             except _Invalidate as stale:
                 self._extra_protect.update(stale.protect)
@@ -550,11 +530,6 @@ class ReducedSolver:
         # class, inheriting its robustness cascade, warm-start policy, and
         # (for the incremental backend) the persistent HiGHS model.
         return type(self.problem.backend)()
-
-    def _new_uid(self) -> int:
-        uid = self._next_uid
-        self._next_uid += 1
-        return uid
 
     def _stack_plan(self) -> list[tuple[int, ...]]:
         """Partition the pristine blocks into live-model groups.
@@ -629,13 +604,7 @@ class ReducedSolver:
                 self._live_of_pristine[bid] = len(live)
             live.append(
                 _LiveBlock(
-                    gcols,
-                    local_of,
-                    nonneg,
-                    backend,
-                    self.problem,
-                    tuple(group),
-                    self._new_uid(),
+                    gcols, local_of, nonneg, backend, self.problem, tuple(group)
                 )
             )
         return live
@@ -751,7 +720,6 @@ class ReducedSolver:
             backend,
             self.problem,
             tuple(pid for p in parts for pid in p.pristine_ids),
-            self._new_uid(),
         )
         self._live = [b for i, b in enumerate(self._live) if i not in set(live_ids)]
         self._live.append(merged)
@@ -769,7 +737,6 @@ class ReducedSolver:
         minimize: bool,
         bound: float,
         regularization: float,
-        jobs: int = 1,
     ) -> LPSolution:
         reduction = self._reduction
         self.solve_calls += 1
@@ -843,20 +810,9 @@ class ReducedSolver:
                 continue
             pending.append((lid, block, local_obj))
 
-        # The dispatch choice must be a function of ``jobs`` alone, never of
-        # how many blocks happen to be pending: each block's warm-model
-        # trajectory has to live entirely on one side (parent or worker) for
-        # the whole lexicographic sequence, or a later stage would cold-start
-        # a model its sibling path re-optimizes warm and land on a different
-        # vertex of a degenerate face.
-        if jobs > 1 and pending:
-            solutions = self._solve_blocks_parallel(
-                pending, minimize, bound, regularization, jobs
-            )
-        else:
-            solutions = self._solve_blocks_sequential(
-                pending, minimize, bound, regularization
-            )
+        solutions = self._solve_blocks_sequential(
+            pending, minimize, bound, regularization
+        )
 
         for lid, block, local_obj in pending:
             solution = solutions[lid]
@@ -894,7 +850,7 @@ class ReducedSolver:
         # (and their boxes) back into the core, which cuts off exactly the
         # offending ray, and the solve retries on the recomputed reduction.
         if self._postsolve(values, bound):
-            self._cleanup_riders(values, minimize, bound, regularization, jobs)
+            self._cleanup_riders(values, minimize, bound, regularization)
             out_of_box = self._postsolve(values, bound)
             if out_of_box:
                 raise _Invalidate(out_of_box)
@@ -934,147 +890,6 @@ class ReducedSolver:
                 avoid_warm_hint = True
         return solutions
 
-    def _solve_blocks_parallel(
-        self,
-        pending: "list[tuple[int, _LiveBlock, dict[int, float] | None]]",
-        minimize: bool,
-        bound: float,
-        regularization: float,
-        jobs: int,
-    ) -> dict[int, LPSolution]:
-        """Dispatch the pending block solves across the worker pool.
-
-        Tasks ship each block's full CSR row export; workers append only
-        the rows past what their cached model for that block uid already
-        holds (the parent side is append-only per uid), solve, and return
-        the solution values.  Results are applied in block order by the
-        caller, and objective values are recomputed parent-side, so the
-        arithmetic matches the sequential path exactly.
-        """
-        from repro.lp import parallel as par
-
-        if not par.parallel_enabled():
-            return self._solve_blocks_sequential(
-                pending, minimize, bound, regularization
-            )
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("lp.block")
-        build_started = time.perf_counter()
-        pool = par.ensure_pool(jobs)
-        backend_name = type(self.problem.backend).name
-        tasks = []
-        payload = 0
-        # Workers run in separate processes and cannot read the parent's
-        # deadline contextvar: the task carries a numeric remaining-budget
-        # snapshot for the in-worker solver cap, and ``solve_all`` enforces
-        # the same budget parent-side (killing a wedged worker outright).
-        budget = deadline.remaining() if deadline is not None else None
-        for lid, block, local_obj in pending:
-            nonneg = block.shim.nonneg_indices
-            task = par.BlockTask(
-                key=(self._token, block.uid),
-                backend_name=backend_name,
-                ncols=len(block.gcols),
-                nonneg=np.fromiter(nonneg, dtype=np.int64, count=len(nonneg)),
-                eq=block.backend.row_arrays(EQ),
-                ge=block.backend.row_arrays(GE),
-                objective=local_obj,
-                minimize=minimize,
-                bound=bound,
-                regularization=regularization,
-                budget=budget,
-            )
-            payload += task.payload_bytes()
-            tasks.append(task)
-        serialize_seconds = time.perf_counter() - build_started
-        dispatch_started = time.perf_counter()
-        # Parent-side safety net: workers self-limit via the task budget,
-        # but a wedged native solve never returns — give it a short grace
-        # past the budget, then ``solve_all`` kills and respawns it.
-        wait = None if budget is None else budget + 2.0
-        replies = pool.solve_all(tasks, timeout=wait)
-        wall = time.perf_counter() - dispatch_started
-
-        solutions: dict[int, LPSolution] = {}
-        worker_seconds: dict[int, float] = {}
-        worker_blocks: dict[int, int] = {}
-        failure: Exception | None = None
-        for (lid, block, _obj), reply in zip(pending, replies):
-            tag = reply[0]
-            wid = pool.route(block.uid)
-            if tag == "ok":
-                _, vals, block_status, seconds = reply
-                solutions[lid] = LPSolution(np.asarray(vals), 0.0, block_status)
-                self.last_block_seconds.append((lid, seconds))
-                worker_seconds[wid] = worker_seconds.get(wid, 0.0) + seconds
-                worker_blocks[wid] = worker_blocks.get(wid, 0) + 1
-                continue
-            if failure is not None:
-                continue  # first failure wins; later replies just drain
-            if tag == "infeasible":
-                failure = LPInfeasibleError(
-                    reply[1] or "LP infeasible (parallel block solve)",
-                    diagnostics=self.problem.infeasibility_diagnostics(),
-                )
-            elif tag == "timeout":
-                failure = AnalysisTimeout(
-                    "lp.block.parallel",
-                    deadline.elapsed() if deadline is not None else wall,
-                    deadline.timings if deadline is not None else None,
-                )
-            elif tag == "crashed":
-                failure = par.WorkerCrashError(
-                    f"LP worker crashed (exit code {reply[1]}) while solving "
-                    f"block uid {block.uid}; the worker was respawned and "
-                    "only this solve failed"
-                )
-            else:  # "error": (tag, type name, message, seconds)
-                failure = LPError(f"LP block worker failed: {reply[1]}: {reply[2]}")
-        if failure is not None:
-            raise failure
-
-        busy = max(worker_seconds.values(), default=0.0)
-        self._accumulate_parallel(
-            jobs=jobs,
-            tasks=len(tasks),
-            payload_bytes=payload,
-            serialize_seconds=serialize_seconds,
-            wall_seconds=wall,
-            overhead_seconds=max(0.0, wall - busy),
-            worker_seconds=worker_seconds,
-            worker_blocks=worker_blocks,
-        )
-        return solutions
-
-    def _accumulate_parallel(self, **sample) -> None:
-        stats = self.parallel_stats
-        if stats is None:
-            stats = self.parallel_stats = {
-                "jobs": sample["jobs"],
-                "dispatches": 0,
-                "tasks": 0,
-                "payload_bytes": 0,
-                "serialize_seconds": 0.0,
-                "wall_seconds": 0.0,
-                "overhead_seconds": 0.0,
-                "worker_seconds": {},
-                "worker_blocks": {},
-            }
-        stats["jobs"] = sample["jobs"]
-        stats["dispatches"] += 1
-        stats["tasks"] += sample["tasks"]
-        stats["payload_bytes"] += sample["payload_bytes"]
-        stats["serialize_seconds"] += sample["serialize_seconds"]
-        stats["wall_seconds"] += sample["wall_seconds"]
-        stats["overhead_seconds"] += sample["overhead_seconds"]
-        for wid, seconds in sample["worker_seconds"].items():
-            stats["worker_seconds"][wid] = (
-                stats["worker_seconds"].get(wid, 0.0) + seconds
-            )
-        for wid, count in sample["worker_blocks"].items():
-            stats["worker_blocks"][wid] = stats["worker_blocks"].get(wid, 0) + count
-
     def _postsolve(self, values: np.ndarray, bound: float) -> list[int]:
         """Reverse-walk the elimination log; return columns lifted out of
         the ``±bound`` box (empty when the solution extends cleanly)."""
@@ -1098,7 +913,6 @@ class ReducedSolver:
         minimize: bool,
         bound: float,
         regularization: float,
-        jobs: int = 1,
     ) -> None:
         """Move box-riding blocks to a small-certificate optimal vertex.
 
@@ -1112,14 +926,7 @@ class ReducedSolver:
         toward the interior vertices that lift into the unreduced variable
         space.  Failures leave ``values`` as they were — the caller falls
         back to protection + recompute.
-
-        Under parallel dispatch the cleanup solves run on the *worker's*
-        cached model for each block, never on the parent backend: a block's
-        warm-model trajectory — including the cleanup's pin/solve/rollback
-        and its side effects on the solver state — must stay on one side
-        for parallel and sequential solves to return identical vertices.
         """
-        riders: list[tuple[_LiveBlock, dict[int, float], "tuple | None"]] = []
         for block in self._live:
             block_values = values[block.gcols]
             magnitudes = np.abs(block_values)
@@ -1128,30 +935,15 @@ class ReducedSolver:
             cleanup_obj = {j: 1.0 for j in block.shim.nonneg_indices}
             for j in np.nonzero(magnitudes >= 0.9 * bound)[0].tolist():
                 cleanup_obj[j] = 1.0 if block_values[j] > 0 else -1.0
-            pin = None
-            if block.last_obj is not None and block.last_opt is not None:
-                margin = 1e-6 * (1.0 + abs(block.last_opt))
-                pin = _pin_row(block.last_obj, block.last_opt, margin, minimize)
-            riders.append((block, cleanup_obj, pin))
-        if not riders:
-            return
-        if jobs > 1:
-            solutions = self._cleanup_riders_parallel(
-                riders, bound, regularization, jobs
-            )
-            for block, _obj, _pin in riders:
-                block.dirty = True
-                cleanup = solutions.get(block.uid)
-                if cleanup is not None:
-                    values[block.gcols] = cleanup.values
-                    block.last_values = cleanup.values
-            return
-        for block, cleanup_obj, pin in riders:
             backend = block.backend
             checkpoint = backend.checkpoint()
             try:
-                if pin is not None:
-                    backend.add_row(GE, pin[0], pin[1])
+                if block.last_obj is not None and block.last_opt is not None:
+                    margin = 1e-6 * (1.0 + abs(block.last_opt))
+                    terms, const = _pin_row(
+                        block.last_obj, block.last_opt, margin, minimize
+                    )
+                    backend.add_row(GE, terms, const)
                 cleanup = backend.solve(
                     block.shim, cleanup_obj, 0.0, True, bound, regularization
                 )
@@ -1162,53 +954,6 @@ class ReducedSolver:
                 block.dirty = True
             values[block.gcols] = cleanup.values
             block.last_values = cleanup.values
-
-    def _cleanup_riders_parallel(
-        self,
-        riders: "list[tuple[_LiveBlock, dict[int, float], tuple | None]]",
-        bound: float,
-        regularization: float,
-        jobs: int,
-    ) -> dict[int, LPSolution]:
-        """Run the rider cleanups on the workers' cached block models.
-
-        Failures (solver errors, crashes) drop that block's cleanup — the
-        original vertex is kept, matching the sequential path's
-        ``except Exception: continue``.
-        """
-        from repro.lp import parallel as par
-
-        if not par.parallel_enabled():
-            return {}
-        pool = par.ensure_pool(jobs)
-        backend_name = type(self.problem.backend).name
-        tasks = []
-        for block, cleanup_obj, pin in riders:
-            nonneg = block.shim.nonneg_indices
-            tasks.append(
-                par.BlockTask(
-                    key=(self._token, block.uid),
-                    backend_name=backend_name,
-                    ncols=len(block.gcols),
-                    nonneg=np.fromiter(nonneg, dtype=np.int64, count=len(nonneg)),
-                    eq=block.backend.row_arrays(EQ),
-                    ge=block.backend.row_arrays(GE),
-                    objective=cleanup_obj,
-                    minimize=True,
-                    bound=bound,
-                    regularization=regularization,
-                    cleanup=True,
-                    pin=pin,
-                )
-            )
-        replies = pool.solve_all(tasks)
-        solutions: dict[int, LPSolution] = {}
-        for (block, _obj, _pin), reply in zip(riders, replies):
-            if reply[0] == "ok":
-                solutions[block.uid] = LPSolution(
-                    np.asarray(reply[1]), 0.0, reply[2]
-                )
-        return solutions
 
 
 # ---------------------------------------------------------------------------

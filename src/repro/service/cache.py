@@ -47,7 +47,7 @@ from repro.lang.printer import canonical_program
 #: 3: stacked same-shape block solves — the live partition concatenates
 #: small same-shape blocks, which moves solution vertices on degenerate
 #: optimal faces (bounds agree to solver tolerance, bytes differ); results
-#: also carry ``restart_bound`` / parallel-solve stats.
+#: also carry ``restart_bound``.
 CACHE_FORMAT = 3
 
 _ENV_DIR = "REPRO_CACHE_DIR"

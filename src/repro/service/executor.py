@@ -21,15 +21,6 @@ PR 1 lacked:
   anything failed (the CLI maps that to a non-zero exit code).
 * **Deterministic ordering.**  Results are reported in workload order no
   matter which worker finished first.
-
-**One worker budget.**  The batch pool and the LP block-solve pool
-(:mod:`repro.lp.parallel`) never nest: ``--workers`` takes precedence over
-``--lp-jobs``.  In process mode every batch worker runs its analyses with
-``lp_jobs`` forced to 1 (and drops any fork-inherited pool reference), so
-the machine runs at most ``--workers`` solver processes; ``--lp-jobs``
-only takes effect in thread mode or single-program runs, where all batch
-threads share the one process-wide LP pool — ``--lp-jobs`` workers total,
-not per program.
 """
 
 from __future__ import annotations
@@ -190,29 +181,16 @@ _WORKER_CACHE: ArtifactCache | None = None
 def _init_worker(cache_dir: "str | None", disk: bool) -> None:
     global _WORKER_CACHE
     _WORKER_CACHE = ArtifactCache(cache_dir, disk=disk) if disk or cache_dir else None
-    # A forked worker may inherit the parent's LP worker-pool reference;
-    # using it would interleave two processes on one pipe, and closing it
-    # would tear down the parent's workers.  Drop the reference — batch
-    # workers run their LP solves in-process (lp_jobs forced to 1 below).
-    from repro.lp.parallel import forget_pool
-
-    forget_pool()
 
 
 def _worker_job(name: str, source: str, options: AnalysisOptions):
     """Runs in a pool worker; must stay a module-level function (pickled by
     reference) and must not raise — errors travel home as strings."""
-    from dataclasses import replace
-
     from repro.lang.parser import parse_program
 
     started = time.perf_counter()
     try:
         program = parse_program(source)
-        # No nested pools: the batch's process shards are the whole worker
-        # budget (--workers wins over --lp-jobs; see the module docstring).
-        if options.lp_jobs != 1:
-            options = replace(options, lp_jobs=1)
         result = AnalysisPipeline(program, artifacts=_WORKER_CACHE).analyze(options)
         return name, result, None, time.perf_counter() - started
     except Exception as exc:

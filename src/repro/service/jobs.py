@@ -53,6 +53,7 @@ from repro.analysis.pipeline import AnalysisOptions, AnalysisPipeline
 from repro.deadline import AnalysisTimeout
 from repro.lang.parser import ParseError, parse_program
 from repro.lang.varinfo import ValidationError
+from repro.lp.backends import available_backends
 from repro.lp.core import LPInfeasibleError
 from repro.service.cache import ArtifactCache, program_key
 from repro.service.store import Job, JobStore
@@ -122,6 +123,11 @@ def options_from_dict(data: "dict | None") -> AnalysisOptions:
             at = tuple(
                 {str(k): float(v) for k, v in one.items()} for one in at
             )
+        backend = data.get("backend")
+        if backend is not None and backend not in available_backends():
+            raise RequestError(
+                f"unknown LP backend {backend!r}; available: {available_backends()}"
+            )
         lp_reduce = data.get("lp_reduce")
         if lp_reduce is not None:
             lp_reduce = bool(lp_reduce)
@@ -142,7 +148,7 @@ def options_from_dict(data: "dict | None") -> AnalysisOptions:
             check_soundness=bool(data.get("check", False)),
             lexicographic=bool(data.get("lexicographic", True)),
             lp_bound=float(data.get("lp_bound", 1e12)),
-            backend=data.get("backend"),
+            backend=backend,
             lp_reduce=lp_reduce,
             deadline_seconds=deadline,
             degrade=bool(data.get("degrade", False)),
@@ -156,8 +162,7 @@ def options_from_dict(data: "dict | None") -> AnalysisOptions:
 def options_to_dict(options: AnalysisOptions) -> dict:
     """The inverse of :func:`options_from_dict`: the JSON ``options``
     object a job payload carries for these analysis options (defaults
-    omitted).  ``lp_jobs`` is intentionally dropped — the fleet is the
-    worker budget, and parallelism never changes results."""
+    omitted)."""
     out: dict = {}
     if options.moment_degree != 2:
         out["moments"] = options.moment_degree
@@ -492,13 +497,6 @@ def worker_main(
         signal.signal(signal.SIGINT, _on_term)
     except ValueError:
         pass  # not the main thread (in-process tests): rely on max_jobs
-
-    # Workers never nest pools: the fleet is the process budget (mirrors
-    # the batch executor's one-worker-budget rule).
-    from repro.lp.parallel import forget_pool
-
-    forget_pool()
-    os.environ.setdefault("REPRO_LP_JOBS", "1")
 
     store = JobStore(db_path, visibility=visibility)
     cache = ArtifactCache(cache_dir) if cache_dir else None

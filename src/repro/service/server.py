@@ -469,6 +469,10 @@ class AnalysisHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response goes out as a header send and a body send,
+    #: and with Nagle's algorithm on, the body waits for the client's
+    #: delayed ACK (~40 ms) on every request of a kept-alive connection.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnalysisService:

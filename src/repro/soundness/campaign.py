@@ -965,7 +965,7 @@ def _run_case(
         return QUARANTINED
     if outcome.status == VIOLATION:
         if diff_config.minimize_budget > 0:
-            minimized, _ = minimize_case(case, diff_config, lp_jobs=1)
+            minimized, _ = minimize_case(case, diff_config)
             outcome.minimized = minimized.source
         reproducer = (
             outcome.minimized if outcome.minimized is not None else case.source

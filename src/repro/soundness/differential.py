@@ -282,7 +282,6 @@ def check_case(
     config: DifferentialConfig | None = None,
     backend: str | None = None,
     lp_reduce: "bool | None" = None,
-    lp_jobs: "int | None" = None,
 ) -> CaseOutcome:
     """Run the full differential check on a single case, in-process."""
     config = config or DifferentialConfig()
@@ -292,7 +291,7 @@ def check_case(
     started = time.perf_counter()
     try:
         result = AnalysisPipeline(program).analyze(
-            _case_options(case, backend, lp_reduce, lp_jobs, config)
+            _case_options(case, backend, lp_reduce, config)
         )
     except AnalysisTimeout as exc:
         return CaseOutcome(
@@ -316,7 +315,6 @@ def _case_options(
     case: FuzzCase,
     backend: str | None = None,
     lp_reduce: "bool | None" = None,
-    lp_jobs: "int | None" = None,
     config: "DifferentialConfig | None" = None,
 ) -> AnalysisOptions:
     return AnalysisOptions(
@@ -324,7 +322,6 @@ def _case_options(
         objective_valuations=(case.valuation,),
         backend=backend,
         lp_reduce=lp_reduce,
-        lp_jobs=lp_jobs,
         deadline_seconds=config.deadline_seconds if config is not None else None,
     )
 
@@ -505,7 +502,6 @@ def minimize_case(
     config: DifferentialConfig,
     backend: str | None = None,
     lp_reduce: "bool | None" = None,
-    lp_jobs: "int | None" = None,
 ) -> tuple[FuzzCase, int]:
     """Greedily shrink a violating case while the violation reproduces.
 
@@ -514,9 +510,9 @@ def minimize_case(
     result is 1-minimal w.r.t. the reduction operators within budget.
     ``backend`` must be the backend the violation was detected with —
     backend-specific bugs (warm-start drift) do not reproduce elsewhere.
-    Candidate re-analyses inherit ``config.deadline_seconds`` and the
-    caller's ``lp_jobs`` budget, and ``config.minimize_seconds`` caps the
-    whole scan, so minimization is bounded even on pathological programs.
+    Candidate re-analyses inherit ``config.deadline_seconds``, and
+    ``config.minimize_seconds`` caps the whole scan, so minimization is
+    bounded even on pathological programs.
     """
     best = case
     spent = 0
@@ -543,7 +539,6 @@ def minimize_case(
                     replace(config, minimize=False),
                     backend,
                     lp_reduce,
-                    lp_jobs,
                 )
             except Exception:
                 continue
@@ -622,7 +617,6 @@ def run_differential(
     cache: ArtifactCache | None = None,
     out_dir: str | None = None,
     lp_reduce: "bool | None" = None,
-    lp_jobs: "int | None" = None,
 ) -> DifferentialReport:
     """Differential-check a corpus; see the module docstring.
 
@@ -636,7 +630,7 @@ def run_differential(
     workload = {
         case.name: (
             case.parse(),
-            _case_options(case, backend, lp_reduce, lp_jobs, config),
+            _case_options(case, backend, lp_reduce, config),
         )
         for case in cases
     }
@@ -665,9 +659,7 @@ def run_differential(
         )
         if outcome.status == VIOLATION:
             if config.minimize:
-                minimized, _ = minimize_case(
-                    case, config, backend, lp_reduce, lp_jobs
-                )
+                minimized, _ = minimize_case(case, config, backend, lp_reduce)
                 outcome.minimized = minimized.source
             if out_dir is not None:
                 _dump_violation(outcome, out_dir, config)

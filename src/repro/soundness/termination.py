@@ -35,7 +35,7 @@ def check_termination_moment(
     template_degrees: tuple[int, ...] = (1, 2),
 ) -> TerminationReport:
     """Try to certify ``E[T^moment_degree] < inf`` for ``program``."""
-    from repro.analysis.engine import AnalysisOptions, analyze
+    from repro.analysis.pipeline import AnalysisOptions, analyze
     from repro.analysis.transformer import AnalysisError
 
     last_error = "no template degree attempted"

@@ -323,7 +323,6 @@ class TestBackendRegistry:
 
     def test_aliases_and_unknown_names(self):
         assert isinstance(get_backend("dense"), ScipyDenseBackend)
-        assert isinstance(get_backend("scipy-dense"), ScipyDenseBackend)
         assert "incremental" in available_backends()
         with pytest.raises(ValueError, match="unknown LP backend"):
             get_backend("simplex-by-hand")
@@ -356,60 +355,3 @@ class TestInfeasibilityDiagnostics:
         lp.rollback(cp)
         assert "drop" not in lp.infeasibility_diagnostics()
         assert "keep" in lp.infeasibility_diagnostics()
-
-
-class TestWorkerRowReplay:
-    """The CSR shipping contract of the parallel solve layer: a worker that
-    rebuilds a model from ``row_arrays`` exports must reach the same optimum
-    as the backend that owns the original rows — for either backend, and
-    incrementally (appending only the suffix past already-ingested rows)."""
-
-    def _build(self, backend_name):
-        lp = LPProblem(backend=get_backend(backend_name))
-        x, y = lp.fresh_nonneg("x"), lp.fresh_nonneg("y")
-        lp.add_eq(AffForm.of_var(x) + AffForm.of_var(y) - 10.0)
-        lp.add_ge(AffForm.of_var(x) - 2.0)
-        return lp, x, y
-
-    @pytest.mark.parametrize("backend", ["dense", "incremental"])
-    def test_replayed_rows_solve_identically(self, backend):
-        from repro.lp.parallel import _WorkerShim, _worker_append_rows
-
-        lp, x, y = self._build(backend)
-        want = lp.solve(AffForm.of_var(x) + AffForm.of_var(y), reduce=False)
-
-        replica = get_backend(backend)
-        shim = _WorkerShim(len(lp.pool), set(lp.nonneg_indices))
-        eq_rows = _worker_append_rows(replica, "eq", lp.backend.row_arrays("eq"), 0)
-        ge_rows = _worker_append_rows(replica, "ge", lp.backend.row_arrays("ge"), 0)
-        assert (eq_rows, ge_rows) == (1, 1)
-        got = replica.solve(
-            shim, {x.index: 1.0, y.index: 1.0}, 0.0, True, 1e12, 1e-7
-        )
-        assert got.values.tolist() == want.values.tolist()
-
-    def test_suffix_append_matches_full_rebuild(self):
-        from repro.lp.parallel import _WorkerShim, _worker_append_rows
-
-        lp, x, y = self._build("incremental")
-        replica = get_backend("incremental")
-        shim = _WorkerShim(len(lp.pool), set(lp.nonneg_indices))
-        _worker_append_rows(replica, "eq", lp.backend.row_arrays("eq"), 0)
-        ge_rows = _worker_append_rows(replica, "ge", lp.backend.row_arrays("ge"), 0)
-        # Identical first solves on both sides: parity on degenerate faces
-        # needs identical warm-start trajectories, not just identical rows.
-        objective = AffForm.of_var(x) + AffForm.of_var(y)
-        lp.solve(objective, reduce=False)
-        replica.solve(shim, {x.index: 1.0, y.index: 1.0}, 0.0, True, 1e12, 1e-7)
-
-        # New parent row arrives; the worker appends only the suffix.
-        lp.add_ge(AffForm.of_var(y) - 4.0)
-        ge_rows = _worker_append_rows(
-            replica, "ge", lp.backend.row_arrays("ge"), ge_rows
-        )
-        assert ge_rows == 2
-        want = lp.solve(objective, reduce=False)
-        got = replica.solve(
-            shim, {x.index: 1.0, y.index: 1.0}, 0.0, True, 1e12, 1e-7
-        )
-        assert got.values.tolist() == want.values.tolist()

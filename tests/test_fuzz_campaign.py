@@ -407,7 +407,7 @@ class TestSeededCorpusReplay:
 
 
 # ---------------------------------------------------------------------------
-# Minimizer bounds (satellite: deadline/lp_jobs threading)
+# Minimizer bounds
 # ---------------------------------------------------------------------------
 
 
@@ -417,7 +417,7 @@ class TestMinimizerBounds:
         config = DifferentialConfig(
             samples=200, max_steps=50_000, minimize_seconds=0.0
         )
-        best, spent = minimize_case(case, config, lp_jobs=1)
+        best, spent = minimize_case(case, config)
         assert spent == 0
         assert best.source == case.source
 

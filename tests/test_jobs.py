@@ -99,10 +99,6 @@ class TestPayloads:
             back = options_from_dict(options_to_dict(options))
             assert back == options, options
 
-    def test_lp_jobs_never_crosses_the_queue(self):
-        options = AnalysisOptions(lp_jobs=4)
-        assert "lp_jobs" not in options_to_dict(options)
-
     def test_idempotency_key_is_content_derived(self):
         a = job_idempotency_key("analyze", analyze_payload(SIMPLE, FAST))
         # Whitespace-different program, same canonical content.
@@ -503,6 +499,25 @@ class TestJobEndpoints:
                 for _ in range(3)
             ]
             assert codes == [202, 202, 429]
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_unknown_backend_is_a_400(self, tmp_path):
+        """An unknown LP backend name is a client error, rejected while the
+        request is validated: not a 422 from the analysis, and not a job
+        that burns its retries in a worker."""
+        with pytest.raises(RequestError, match="unknown LP backend"):
+            analyze_payload(SIMPLE, {"backend": "simplex"})
+        server = make_server(port=0, store=JobStore(tmp_path / "jobs.sqlite3"))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            body = {"program": SIMPLE, "options": {"backend": "simplex"}}
+            for path in ("/analyze", "/jobs"):
+                status, doc = _post(server, path, body)
+                assert status == 400, (path, doc)
+                assert "unknown LP backend" in doc["error"]
         finally:
             server.shutdown()
             server.server_close()

@@ -4,8 +4,8 @@ Three levels of coverage:
 
 * presolve unit tests on hand-built LPs — singleton-equality fixing, free
   and implied-slack column elimination, duplicate/vacuous row dropping,
-  zero columns, infeasibility detection, and the block decomposition with
-  full-space value recovery;
+  zero columns, infeasibility detection, the block decomposition with
+  full-space value recovery, and same-shape block stacking;
 * the kill-switch contract — ``REPRO_DISABLE_LP_REDUCE`` /
   ``reduce_override`` route solves to the direct backend, and
   ``AnalysisOptions.lp_reduce`` is honored per analysis (including in the
@@ -296,6 +296,52 @@ class TestDecomposition:
         lp.rollback(checkpoint)
         third = lp.solve(objective, reduce=True)
         assert third.objective == pytest.approx(3.0)
+
+
+def _independent_blocks(n: int, rows_per_block: int = 2) -> LPProblem:
+    """``n`` structurally identical independent blocks: two nonnegative
+    variables coupled by one equality plus lower-bound inequalities."""
+    lp = build_problem()
+    for b in range(n):
+        x = lp.fresh_nonneg(f"x{b}")
+        y = lp.fresh_nonneg(f"y{b}")
+        lp.add_eq(AffForm.of_var(x) + AffForm.of_var(y) - 10.0)
+        lp.add_ge(AffForm.of_var(x) - 2.0)
+        for extra in range(rows_per_block - 2):
+            lp.add_ge(AffForm.of_var(y) - 1.0 - extra)
+    return lp
+
+
+def _total_objective(lp: LPProblem) -> AffForm:
+    return AffForm({index: 1.0 for index in sorted(lp.nonneg_indices)})
+
+
+class TestStacking:
+    """``_stack_plan`` groups >= 3 same-shape small blocks into one
+    block-diagonal model."""
+
+    def test_same_shape_blocks_are_stacked(self):
+        lp = _independent_blocks(4)
+        solution = lp.solve(_total_objective(lp), reduce=True)
+        assert lp._reducer is not None
+        assert lp._reducer.stacked_groups == 1
+        assert lp._reducer.stacked_sizes == [4]
+        # x >= 2, x + y == 10, y >= 1; min x+y is 10 per block.
+        assert solution.objective == pytest.approx(40.0)
+
+    def test_stacked_values_match_direct_solve(self):
+        stacked = _independent_blocks(5)
+        got = stacked.solve(_total_objective(stacked), reduce=True)
+        direct = _independent_blocks(5)
+        want = direct.solve(_total_objective(direct), reduce=False)
+        assert got.objective == pytest.approx(want.objective, abs=1e-7)
+
+    def test_differently_shaped_blocks_do_not_stack(self):
+        lp = _independent_blocks(2)  # only two same-shape blocks: below min
+        z = lp.fresh_nonneg("z")
+        lp.add_ge(AffForm.of_var(z) - 1.0)
+        lp.solve(_total_objective(lp), reduce=True)
+        assert lp._reducer.stacked_groups == 0
 
 
 class TestRegistryParity:

@@ -466,6 +466,31 @@ class TestServer:
         assert stats["writes"] > 0
         assert stats["warm_pipelines"] == 1
 
+    def test_kept_alive_connection_is_not_delayed(self, served):
+        """Headers and body go out in two sends; without TCP_NODELAY the
+        body waits for the client's delayed ACK (~40 ms) on every request
+        of a kept-alive connection."""
+        import http.client
+        import statistics
+        import time
+
+        server, _ = served
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        latencies = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
     def test_error_statuses(self, served):
         server, _ = served
         status, raw, _ = _post(server, "/analyze", {"program": "not appl"})

@@ -54,13 +54,11 @@ SMOKE = os.environ.get("REPRO_SERVICE_SMOKE") == "1"
 CHAOS = os.environ.get("REPRO_SERVICE_CHAOS") == "1"
 
 #: The chaos drill's armed faults: every disk-cache write is corrupted
-#: (discarded and recomputed on the next read), a quarter of cache reads
-#: fail outright, and every LP worker IPC round-trip raises.  All three
-#: are recoverable by design — the drill asserts the service keeps
-#: answering correctly *and* that the faults actually fired.
-CHAOS_FAULTS = (
-    "cache.read:raise:0.25:7,cache.write:corrupt:1:8,lp.worker_ipc:raise:1:9"
-)
+#: (discarded and recomputed on the next read) and a quarter of cache
+#: reads fail outright.  Both are recoverable by design — the drill
+#: asserts the service keeps answering correctly *and* that the faults
+#: actually fired.
+CHAOS_FAULTS = "cache.read:raise:0.25:7,cache.write:corrupt:1:8"
 
 
 def _post(port, path, body, timeout=30.0):
@@ -359,10 +357,6 @@ class TestServiceChaos:
 
     * cache I/O faults (corrupt writes, failing reads) degrade the cache
       to recompute — analyses still answer correctly;
-    * an injected LP worker IPC fault surfaces as a typed parent-side
-      error, not a wedged pool (exercised in-process, where parallel LP
-      actually dispatches — queue workers deliberately solve
-      sequentially);
     * an analyze job with a tiny deadline times out, is re-delivered once
       at *half* the deadline, times out again, and dead-letters;
     * a hung job whose payload ``timeout`` undercuts its runtime loses
@@ -371,30 +365,6 @@ class TestServiceChaos:
     * ``/metrics`` reports it all: timeout counters, armed faults, and
       fired-fault counts.
     """
-
-    def test_worker_ipc_fault_is_a_typed_error(self):
-        """In-process leg: an armed ``lp.worker_ipc`` fault fails the
-        solve with a typed error and leaves the pool reusable."""
-        from repro import AnalysisOptions, analyze, faults
-        from repro.lp import parallel as par
-        from repro.lp.core import LPError
-        from repro.programs import registry
-
-        program = registry.all_benchmarks()["absynth-ber"].parse()
-        par.shutdown_pool()  # workers must fork *after* arming
-        faults.configure("lp.worker_ipc:raise:1:9")
-        try:
-            with pytest.raises(LPError, match="FaultInjected"):
-                analyze(
-                    program, AnalysisOptions(moment_degree=2, lp_jobs=2)
-                )
-            assert faults.counters() == {}  # fired in workers, not here
-        finally:
-            faults.configure("")
-            par.shutdown_pool()
-        # Disarmed and respawned, the same call succeeds.
-        result = analyze(program, AnalysisOptions(moment_degree=2, lp_jobs=2))
-        assert result.raw.degree == 2
 
     def test_chaos_drill(self, tmp_path):
         db = tmp_path / "jobs.sqlite3"
