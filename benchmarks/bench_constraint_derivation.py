@@ -4,13 +4,7 @@ Times stage 3 of the pipeline (``AnalysisPipeline.constraint_system``) in
 isolation on the Fig. 10 scalability programs at moment degree 4 — the
 workload whose profile motivated the symbolic kernel (interned monomials,
 memoized certificate bases, vectorized λ-column emission, substitution
-plans).  Three configurations are measured:
-
-* ``kernel``  — the default path (``REPRO_DISABLE_POLY_KERNEL`` unset),
-* ``legacy``  — the dict-path fallback behind the kill switch,
-* ``seed``    — hardcoded pre-kernel timings (commit ``18c0ce8``) from the
-  machine grid this file was introduced on; the acceptance metric is
-  ``seed_total / kernel_total >= 2``.
+plans).
 
 Every measured round resets the process-wide certificate-basis and
 substitution-plan memo tables, so the numbers are honest cold-start
@@ -19,8 +13,7 @@ sees).  Timing is median-of-k via :func:`_harness.timed_median`.
 
 Results land in ``BENCH_constraints.json`` at the repo root (CI gates the
 ``derivation_total_seconds`` key against the committed baseline) and also
-record the per-stage static/context/derive/solve split of a full analysis,
-so future perf work starts from the same data this PR did.
+record the per-stage static/context/derive/solve split of a full analysis.
 """
 
 import json
@@ -30,20 +23,10 @@ import time
 from _harness import emit, timed_median
 from repro import AnalysisOptions, AnalysisPipeline
 from repro.logic.handelman import clear_certificate_caches
-from repro.poly.kernel import clear_plan_caches, kernel_override
+from repro.poly.kernel import clear_plan_caches
 from repro.programs.synthetic import coupon_chain, rdwalk_chain
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_constraints.json"
-
-#: Stage-3 (constraint derivation) seconds of the pre-kernel analyzer
-#: (commit 18c0ce8) on this benchmark grid at moment degree 4.
-SEED_SECONDS = {
-    "coupon_chain(4)": 0.013,
-    "coupon_chain(8)": 0.027,
-    "coupon_chain(16)": 0.055,
-    "rdwalk_chain(2)": 0.155,
-    "rdwalk_chain(3)": 0.258,
-}
 
 WORKLOAD = {
     "coupon_chain(4)": lambda: coupon_chain(4),
@@ -63,8 +46,8 @@ def _reset_memos() -> None:
     clear_plan_caches()
 
 
-def _derivation_seconds(make, kernel: bool) -> float:
-    """Median cold-memo derivation time with the kernel forced on/off.
+def _derivation_seconds(make) -> float:
+    """Median cold-memo derivation time.
 
     Stages 1+2 are primed in the (untimed) per-round setup: this benchmark
     times constraint derivation, not parsing/abstract interpretation.  A
@@ -80,17 +63,14 @@ def _derivation_seconds(make, kernel: bool) -> float:
         state["pipe"] = pipe
 
     def run():
-        with kernel_override(kernel):
-            state["pipe"].constraint_system(
-                AnalysisOptions(moment_degree=MOMENT_DEGREE)
-            )
+        state["pipe"].constraint_system(AnalysisOptions(moment_degree=MOMENT_DEGREE))
 
     median, _ = timed_median(run, rounds=ROUNDS, warmup=WARMUP, setup=setup)
     return median
 
 
 def _stage_split(make) -> dict[str, float]:
-    """Per-stage wall times of one cold full analysis (kernel on)."""
+    """Per-stage wall times of one cold full analysis."""
     _reset_memos()
     pipe = AnalysisPipeline(make())
     options = AnalysisOptions(moment_degree=MOMENT_DEGREE)
@@ -112,36 +92,20 @@ def _stage_split(make) -> dict[str, float]:
 
 def test_constraint_derivation(benchmark):
     benchmark.pedantic(
-        lambda: _derivation_seconds(WORKLOAD["coupon_chain(4)"], True),
+        lambda: _derivation_seconds(WORKLOAD["coupon_chain(4)"]),
         rounds=1, iterations=1,
     )
-    kernel = {n: _derivation_seconds(m, True) for n, m in WORKLOAD.items()}
-    legacy = {n: _derivation_seconds(m, False) for n, m in WORKLOAD.items()}
+    kernel = {n: _derivation_seconds(m) for n, m in WORKLOAD.items()}
     split = _stage_split(WORKLOAD["rdwalk_chain(2)"])
-
     kernel_total = sum(kernel.values())
-    legacy_total = sum(legacy.values())
-    seed_total = sum(SEED_SECONDS.values())
-    speedup_vs_seed = seed_total / kernel_total
-    speedup_vs_legacy = legacy_total / kernel_total
 
     lines = [
         f"Constraint-derivation benchmark ({MOMENT_DEGREE}th-moment fig10 workload)",
-        f"{'case':>18} {'seed (s)':>9} {'legacy (s)':>11} {'kernel (s)':>11}",
+        f"{'case':>18} {'derive (s)':>11}",
     ]
     for name in WORKLOAD:
-        lines.append(
-            f"{name:>18} {SEED_SECONDS[name]:>9.3f} "
-            f"{legacy[name]:>11.3f} {kernel[name]:>11.3f}"
-        )
-    lines.append(
-        f"{'total':>18} {seed_total:>9.3f} {legacy_total:>11.3f} "
-        f"{kernel_total:>11.3f}"
-    )
-    lines.append(
-        f"speedup: {speedup_vs_seed:.2f}x vs seed, "
-        f"{speedup_vs_legacy:.2f}x vs kernel-off"
-    )
+        lines.append(f"{name:>18} {kernel[name]:>11.3f}")
+    lines.append(f"{'total':>18} {kernel_total:>11.3f}")
     lines.append(
         "rdwalk_chain(2) stage split: "
         + ", ".join(f"{k} {v:.3f}s" for k, v in split.items())
@@ -153,34 +117,16 @@ def test_constraint_derivation(benchmark):
             {
                 "workload": f"fig10 programs at moment degree {MOMENT_DEGREE}, "
                 "stage-3 derivation only",
-                "seed_commit": "18c0ce8",
                 "rounds": ROUNDS,
                 "warmup": WARMUP,
                 "timing": "median of rounds, memo tables cleared per round",
-                "seed_seconds": SEED_SECONDS,
-                "legacy_seconds": {k: round(v, 4) for k, v in legacy.items()},
                 "kernel_seconds": {k: round(v, 4) for k, v in kernel.items()},
-                "seed_total_seconds": round(seed_total, 4),
-                "legacy_total_seconds": round(legacy_total, 4),
                 "derivation_total_seconds": round(kernel_total, 4),
-                "speedup_vs_seed": round(speedup_vs_seed, 3),
-                "speedup_vs_legacy": round(speedup_vs_legacy, 3),
                 "stage_split_rdwalk_chain_2": split,
             },
             indent=2,
         )
         + "\n"
-    )
-
-    # Acceptance: >= 2x end-to-end derivation speedup vs the pre-kernel
-    # analyzer on this workload.  The recorded seed timings are from the
-    # machine this file was introduced on; on other hardware the kill-switch
-    # path — everything except the kernel itself — is the proxy, with a
-    # floor that the kernel must beat it.
-    assert speedup_vs_seed >= 2.0 or speedup_vs_legacy >= 1.10, (
-        f"derivation speedup below the floor: {speedup_vs_seed:.2f}x vs seed "
-        f"(seed {seed_total:.3f}s), {speedup_vs_legacy:.2f}x vs kernel-off "
-        f"(legacy {legacy_total:.3f}s, kernel {kernel_total:.3f}s)"
     )
 
 
@@ -189,8 +135,7 @@ def test_certificate_basis_is_memoized():
     from repro.logic.handelman import certificate_cache_stats
 
     _reset_memos()
-    with kernel_override(True):
-        pipe = AnalysisPipeline(rdwalk_chain(2))
-        pipe.constraint_system(AnalysisOptions(moment_degree=MOMENT_DEGREE))
+    pipe = AnalysisPipeline(rdwalk_chain(2))
+    pipe.constraint_system(AnalysisOptions(moment_degree=MOMENT_DEGREE))
     bases = certificate_cache_stats()["bases"]
     assert 0 < bases < 100, f"unexpected basis cache population: {bases}"

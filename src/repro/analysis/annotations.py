@@ -16,6 +16,11 @@ and all of them keep templates affine in the LP unknowns:
 * ``scale``            — product with ``<[p,p],[0,0],...>`` (rule Q-Prob)
 * ``substitute``       — rule Q-Assign
 * ``expect``           — rule Q-Sample
+
+Derivation calls the fused forms ``oplus_all`` and ``prob_mix`` instead of
+chaining ``oplus`` and ``scale``; each fused form is bit-identical (same
+floats, same key order) to the chain it replaces, which
+``tests/test_poly_kernel.py`` keeps as its reference.
 """
 
 from __future__ import annotations
@@ -26,12 +31,7 @@ from typing import Callable
 from repro.lang.ast import Distribution
 from repro.lp.affine import AffForm
 from repro.lp.problem import LPProblem
-from repro.poly.kernel import (
-    ExpectationPlan,
-    TermAccumulator,
-    kernel_enabled,
-    substitution_plan,
-)
+from repro.poly.kernel import ExpectationPlan, TermAccumulator, substitution_plan
 from repro.poly.monomial import monomials_up_to_degree
 from repro.poly.polynomial import Polynomial
 from repro.rings.interval import Interval
@@ -46,8 +46,8 @@ def _accumulate_interval(sources) -> "PolyInterval":
     ``Polynomial.scale(0)``), interval ends swap under negative scalars
     (like ``PolyInterval.scale``), and contributions stream through
     :class:`~repro.poly.kernel.TermAccumulator` in source order — the exact
-    ``_add_term`` sequence the legacy chained form performs, so results are
-    bit-identical to it.
+    ``_add_term`` sequence of the chained ``PolyInterval.scale`` / ``+``
+    form, so results are bit-identical to it.
     """
     lo_acc, hi_acc = TermAccumulator(), TermAccumulator()
     for iv, scalar in sources:
@@ -156,18 +156,13 @@ class MomentAnnotation:
         """``a_1 ⊕ a_2 ⊕ ... ⊕ a_n`` in one accumulation pass.
 
         Bit-identical to the left fold of :meth:`oplus` (same merge
-        sequence per monomial); with the symbolic kernel enabled the
-        intermediate annotations are never materialized.
+        sequence per monomial), without materializing the intermediate
+        annotations.
         """
         if not annotations:
             raise ValueError("oplus_all of no annotations")
         if len(annotations) == 1:
             return annotations[0]
-        if not kernel_enabled():
-            folded = annotations[0]
-            for ann in annotations[1:]:
-                folded = folded.oplus(ann)
-            return folded
         width = len(annotations[0].intervals)
         if any(len(a.intervals) != width for a in annotations):
             raise ValueError("annotations of different moment orders")
@@ -182,34 +177,25 @@ class MomentAnnotation:
         """``<[cost^k, cost^k]>_{k} ⊗ self`` — rule (Q-Tick).
 
         The binomial convolution of eq. (7) where the left operand is the
-        (point-interval) moment vector of the deterministic cost.  With the
-        symbolic kernel enabled the convolution accumulates into one
-        mutable polynomial per interval end — the same ``_add_term``
-        sequence the chained interval sums below perform, minus the
-        per-step dict copies (bit-identical results, linear allocation).
+        (point-interval) moment vector of the deterministic cost.  The
+        convolution accumulates into one mutable polynomial per interval
+        end — the same ``_add_term`` sequence as chaining
+        ``PolyInterval.scale`` and ``+``, minus the per-step dict copies
+        (bit-identical results, linear allocation).
         """
         m = self.degree
         powers = [1.0]
         for _ in range(m):
             powers.append(powers[-1] * cost)
-        if kernel_enabled():
-            return MomentAnnotation(
-                [
-                    _accumulate_interval(
-                        (self.intervals[k - i], binomial(k, i) * powers[i])
-                        for i in range(k + 1)
-                    )
-                    for k in range(m + 1)
-                ]
-            )
-        result = []
-        for k in range(m + 1):
-            acc = PolyInterval.zero()
-            for i in range(k + 1):
-                scalar = binomial(k, i) * powers[i]
-                acc = acc + self.intervals[k - i].scale(scalar)
-            result.append(acc)
-        return MomentAnnotation(result)
+        return MomentAnnotation(
+            [
+                _accumulate_interval(
+                    (self.intervals[k - i], binomial(k, i) * powers[i])
+                    for i in range(k + 1)
+                )
+                for k in range(m + 1)
+            ]
+        )
 
     def scale(self, p: float) -> "MomentAnnotation":
         """``<[p,p],[0,0],...,[0,0]> ⊗ self`` for ``p >= 0`` — rule (Q-Prob)."""
@@ -220,16 +206,14 @@ class MomentAnnotation:
     def prob_mix(self, p: float, other: "MomentAnnotation") -> "MomentAnnotation":
         """``self.scale(p) ⊕ other.scale(1 - p)`` — the (Q-Prob) mix.
 
-        With the symbolic kernel enabled the two scalings and the interval
-        sum fuse into one accumulation pass per interval end (the same
-        ``_add_term`` sequence, so results are bit-identical to the chained
-        form), skipping two full intermediate annotations per branch point.
+        The two scalings and the interval sum fuse into one accumulation
+        pass per interval end (the same ``_add_term`` sequence, so results
+        are bit-identical to the chained form), skipping two full
+        intermediate annotations per branch point.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError("branch probability must lie in [0, 1]")
         q = 1.0 - p
-        if not kernel_enabled():
-            return self.scale(p).oplus(other.scale(q))
         if len(self.intervals) != len(other.intervals):
             raise ValueError("annotations of different moment orders")
         return MomentAnnotation(
@@ -244,19 +228,13 @@ class MomentAnnotation:
     def substitute(self, var: str, poly: Polynomial) -> "MomentAnnotation":
         """Rule (Q-Assign): ``Q[poly / var]`` on every interval end.
 
-        With the symbolic kernel enabled, all ``2*(m+1)`` interval ends
-        share one memoized :class:`~repro.poly.kernel.SubstitutionPlan`, so
-        every monomial's expansion is computed once per (var, replacement)
-        pair per process rather than once per end per statement.
+        All ``2*(m+1)`` interval ends share one memoized
+        :class:`~repro.poly.kernel.SubstitutionPlan`, so every monomial's
+        expansion is computed once per (var, replacement) pair per process
+        rather than once per end per statement.  ``poly`` must be concrete.
         """
-        if kernel_enabled() and poly.is_concrete():
-            plan = substitution_plan(var, poly)
-            return MomentAnnotation(
-                [iv.map_ends(plan.apply) for iv in self.intervals]
-            )
-        return MomentAnnotation(
-            [iv.map_ends(lambda e: e.substitute(var, poly)) for iv in self.intervals]
-        )
+        plan = substitution_plan(var, poly)
+        return MomentAnnotation([iv.map_ends(plan.apply) for iv in self.intervals])
 
     def expect(self, var: str, dist: Distribution) -> "MomentAnnotation":
         """Rule (Q-Sample): ``E_{var ~ dist}[Q]`` on every interval end.
@@ -264,17 +242,8 @@ class MomentAnnotation:
         The per-monomial moment replacements are shared across the interval
         ends through one :class:`~repro.poly.kernel.ExpectationPlan`.
         """
-        if kernel_enabled():
-            plan = ExpectationPlan(var, dist.moment)
-            return MomentAnnotation(
-                [iv.map_ends(plan.apply) for iv in self.intervals]
-            )
-        return MomentAnnotation(
-            [
-                iv.map_ends(lambda e: e.expect_powers(var, dist.moment))
-                for iv in self.intervals
-            ]
-        )
+        plan = ExpectationPlan(var, dist.moment)
+        return MomentAnnotation([iv.map_ends(plan.apply) for iv in self.intervals])
 
     # -- queries -----------------------------------------------------------------------
 

@@ -32,8 +32,8 @@ from solving — the two roughly co-equal cost centers.  Derivation runs on
 the vectorized symbolic kernel (:mod:`repro.poly.kernel`,
 :mod:`repro.logic.handelman`); ``repro analyze --profile`` prints the
 per-stage split with cProfile hotspots, and
-``benchmarks/bench_constraint_derivation.py`` tracks the derivation share
-across PRs (``BENCH_constraints.json``).
+``benchmarks/bench_constraint_derivation.py`` records the Fig. 10
+derivation times (``BENCH_constraints.json``).
 """
 
 from __future__ import annotations

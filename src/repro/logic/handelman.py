@@ -23,11 +23,11 @@ basis monomial's λ-column into its :class:`~repro.lp.affine.AffBuilder` as
 one C-level ``dict.update`` over precomputed id/coefficient arrays, instead
 of a per-product per-monomial Python loop.
 
-The vectorized path replays the legacy loop *exactly* — same λ variable
-names and allocation order, same float coefficients (the basis is built from
-the same :func:`certificate_products` computation), same per-builder term
-insertion order, same LP row order — so analyzer outputs are byte-identical
-with the kernel on or off (``REPRO_DISABLE_POLY_KERNEL``).
+The emitted rows are exactly those of the one-product-at-a-time loop over
+:func:`certificate_products` — same λ variable names and allocation order,
+same float coefficients (the basis is built from that same computation),
+same per-builder term insertion order, same LP row order.
+``tests/test_poly_kernel.py`` checks emission against that loop.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 from repro.logic.context import Context
 from repro.lp.affine import AffBuilder, AffForm
 from repro.lp.problem import LPProblem
-from repro.poly.kernel import kernel_enabled
 from repro.poly.monomial import Monomial
 from repro.poly.polynomial import Polynomial
 
@@ -60,8 +59,8 @@ _BASIS_CACHE_CAP = 8192
 class CertificateBasis:
     """One context's certificate products in column-compressed array form.
 
-    ``columns`` holds, per basis monomial (in the exact first-encounter
-    order of the legacy emission loop), the λ row indices that mention it
+    ``columns`` holds, per basis monomial (in first-encounter order over
+    the products, then their terms), the λ row indices that mention it
     and the *negated* float coefficients ready for ingestion: row ``j`` of
     column ``m`` says product ``j`` contributes ``-coeff`` to the
     coefficient-matching equality of monomial ``m``.
@@ -166,10 +165,9 @@ def emit_nonneg_certificate(
     All coefficient matching goes through :class:`AffBuilder` accumulators —
     one per monomial — instead of repeated immutable polynomial sums; with
     hundreds of certificate products per containment this is the difference
-    between linear and quadratic assembly cost.  With the symbolic kernel
-    enabled the λ-multiplier columns come from the memoized
-    :class:`CertificateBasis` and land in the builders via bulk
-    ``dict.update`` calls over precomputed arrays.
+    between linear and quadratic assembly cost.  The λ-multiplier columns
+    come from the memoized :class:`CertificateBasis` and land in the
+    builders via bulk ``dict.update`` calls over precomputed arrays.
     """
     if ctx.bottom:
         return
@@ -203,37 +201,25 @@ def emit_nonneg_certificate(
         return
     cert_degree = max(degree, max(m.degree for m in target))
 
-    if kernel_enabled():
-        basis = certificate_basis(ctx, cert_degree)
-        # λ variables are allocated with the same names, in the same order,
-        # as the legacy loop below — indices are contiguous from lam_base.
-        lam_base = lp.fresh_nonneg(f"{label}.λ0").index
-        for j in range(1, basis.n_products):
-            lp.fresh_nonneg(f"{label}.λ{j}")
-        # Emission hint for the LP reduction layer: this certificate's
-        # multipliers occupy one contiguous column span, so presolve can
-        # build its λ/nonnegativity masks from span arithmetic instead of
-        # scanning the index set.
-        lp.note_cert_span(lam_base, basis.n_products)
-        for mono, rows, negs in basis.columns:
-            builder = target.get(mono)
-            if builder is None:
-                target[mono] = builder = AffBuilder()
-            # Fresh λ indices cannot collide with existing template terms,
-            # so a bulk update preserves add_var semantics; ascending-j
-            # order matches the legacy per-product scan.
-            builder.terms.update(zip((rows + lam_base).tolist(), negs))
-    else:
-        products = certificate_products(ctx, cert_degree)
-        lam_base = None
-        for j, prod in enumerate(products):
-            lam = lp.fresh_nonneg(f"{label}.λ{j}")
-            if lam_base is None:
-                lam_base = lam.index
-            for mono, c in prod.coeffs.items():
-                target.setdefault(mono, AffBuilder()).add_var(lam, -float(c))
-        if lam_base is not None:
-            lp.note_cert_span(lam_base, len(products))
+    basis = certificate_basis(ctx, cert_degree)
+    # One λ_j per product, allocated in product order: indices are
+    # contiguous from lam_base.
+    lam_base = lp.fresh_nonneg(f"{label}.λ0").index
+    for j in range(1, basis.n_products):
+        lp.fresh_nonneg(f"{label}.λ{j}")
+    # Emission hint for the LP reduction layer: this certificate's
+    # multipliers occupy one contiguous column span, so presolve can
+    # build its λ/nonnegativity masks from span arithmetic instead of
+    # scanning the index set.
+    lp.note_cert_span(lam_base, basis.n_products)
+    for mono, rows, negs in basis.columns:
+        builder = target.get(mono)
+        if builder is None:
+            target[mono] = builder = AffBuilder()
+        # Fresh λ indices cannot collide with existing template terms,
+        # so a bulk update preserves add_var semantics; rows are in
+        # ascending j, the order of a per-product scan.
+        builder.terms.update(zip((rows + lam_base).tolist(), negs))
 
     for mono, builder in target.items():
         lp.add_eq(builder, note=f"{label}[{mono!r}]")

@@ -47,9 +47,9 @@ survive into the core; the pipeline declares them up front
 (:meth:`LPProblem.protect_columns`), and an undeclared objective/cut column
 that was eliminated triggers an automatic recompute with that column
 protected.  ``REPRO_DISABLE_LP_REDUCE`` is the kill switch, mirroring
-``REPRO_DISABLE_POLY_KERNEL`` / ``REPRO_DISABLE_HIGHS``; CI runs a
-reduce-off matrix leg and ``tests/test_lp_reduce.py`` checks bound-level
-parity on the registry and fuzz corpus.
+``REPRO_DISABLE_HIGHS``; CI runs a reduce-off matrix leg and
+``tests/test_lp_reduce.py`` checks bound-level parity on the registry and
+fuzz corpus.
 """
 
 from __future__ import annotations

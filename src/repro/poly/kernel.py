@@ -1,68 +1,39 @@
-"""The vectorized symbolic kernel: array-backed polynomials over the
-interned monomial basis, plus reusable substitution/expectation plans.
+"""The vectorized symbolic kernel: reusable substitution/expectation plans
+over the interned monomial basis.
 
-The derivation system's hot loops (certificate emission, rule Q-Assign
-substitutions) are fixed-basis linear algebra: every polynomial lives in the
-span of a small set of monomials that repeats across templates, components,
-and contexts.  This module exploits that in three ways:
-
-* :class:`SubstitutionPlan` / :class:`ExpectationPlan` +
-  :class:`TermAccumulator` — the analyzer's hot path.  The basis-change
-  induced by ``[replacement / var]`` (rule Q-Assign) or by replacing powers
-  ``var^k`` with raw moments (rule Q-Sample) is expanded once per source
-  monomial and reused across every interval end and moment component that
-  substitutes the same thing; contributions accumulate in place instead of
-  allocating an affine form per term.  Plans work for template polynomials
-  too: the expansion factors are concrete, so coefficients stay affine.
-* :class:`CompiledPoly` — a concrete (float-coefficient) polynomial as two
-  parallel NumPy arrays ``ids``/``coeffs`` over the interned basis of
-  :mod:`repro.poly.monomial` (``Polynomial.compiled()``).  Add/mul/
-  substitute are id merges and ``np.add.at`` reductions instead of dict
-  churn — the bulk-math representation for concrete polynomial workloads
-  (and the reference the parity suite checks the dict path against); the
-  analyzer's template loops themselves go through the plans above.
-* ``REPRO_DISABLE_POLY_KERNEL`` — a kill switch mirroring
-  ``REPRO_DISABLE_HIGHS``: with the environment variable set (or
-  :func:`set_kernel_enabled` called), every consumer falls back to the
-  legacy dict-path code, which must produce *byte-identical* analysis
-  results (the differential suite in ``tests/test_poly_kernel.py`` enforces
-  this).
+The derivation system's hot loops (rule Q-Assign substitutions, rule
+Q-Sample expectations, the fused moment-semiring sums) are fixed-basis
+linear algebra: every polynomial lives in the span of a small set of
+monomials that repeats across templates, components, and contexts.
+:class:`SubstitutionPlan` / :class:`ExpectationPlan` expand the basis change
+induced by ``[replacement / var]`` or by replacing powers ``var^k`` with raw
+moments once per source monomial and reuse it across every interval end and
+moment component that substitutes the same thing; :class:`TermAccumulator`
+merges the contributions in place instead of allocating an affine form per
+term.  Plans work for template polynomials too: the expansion factors are
+concrete, so coefficients stay affine.
 
 Exactness discipline
 --------------------
-The kernel is only allowed to change *how fast* numbers are produced, never
-*which* numbers: every reduction accumulates float contributions in the same
-sequence the legacy dict path uses (row-major pair order for products,
-source-term order for substitutions), so coefficient *values* are always
-bit-identical.  The analyzer-facing paths (plans, accumulators, certificate
-bases) additionally replay the dict path's key *ordering* exactly —
-including the delete-on-zero/reinsert-at-end corner — which is what makes
-kernel-on/off analyzer outputs byte-identical rather than merely close.
-:func:`_reduce_first_encounter` (used only by :class:`CompiledPoly`) keeps
-first-encounter order instead: when a coefficient cancels mid-stream and is
-later re-contributed, the dict path re-inserts the monomial at the end while
-the array reduction leaves it in place.  Values still match exactly; only
-iteration order can differ, which is why ``CompiledPoly`` is not used on the
-LP-emission path.
+Every path here accumulates float contributions in the order the rules
+compose them with plain :class:`~repro.poly.polynomial.Polynomial`
+arithmetic (row-major pair order for products, source-term order for
+substitutions), and reproduces that arithmetic's key order — including the
+delete-on-zero/reinsert-at-end corner of ``Polynomial._add_term``.  Key
+order decides LP row and column order, so the emitted LP does not depend on
+which of the two computed it; ``tests/test_poly_kernel.py`` checks every
+plan and fused operation against references composed from those
+primitives.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
 from typing import Callable
 
-import numpy as np
-
 from repro.lp.affine import AffBuilder, AffForm
-from repro.poly.monomial import Monomial, monomial_of_id, product_id
+from repro.poly.monomial import Monomial
 from repro.poly.polynomial import Polynomial
-
-_ENABLED = not os.environ.get("REPRO_DISABLE_POLY_KERNEL")
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_COEFFS = np.empty(0, dtype=np.float64)
 
 _MISSING = object()
 
@@ -73,169 +44,18 @@ _PLAN_LOCK = threading.Lock()
 _PLAN_CACHE_CAP = 4096
 
 
-def kernel_enabled() -> bool:
-    """Whether the vectorized kernel paths are active in this process."""
-    return _ENABLED
-
-
-def set_kernel_enabled(enabled: bool) -> bool:
-    """Toggle the kernel (returns the previous state).  Test/bench lever."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def kernel_override(enabled: bool):
-    """Run a block with the kernel forced on or off."""
-    previous = set_kernel_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_kernel_enabled(previous)
-
-
 def clear_plan_caches() -> None:
     """Drop memoized substitution plans (benchmarks measure cold starts)."""
     with _PLAN_LOCK:
         _PLAN_CACHE.clear()
 
 
-def _reduce_first_encounter(
-    ids: np.ndarray, contribs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``contribs`` per id, in array order, keeping first-encounter ids.
-
-    ``np.add.at`` applies the additions sequentially in element order, so for
-    every output monomial the float sum is accumulated in exactly the order
-    the legacy dict path would have used; exact-zero sums are dropped just
-    like ``Polynomial._add_term`` deletes cancelled entries.  Output *order*
-    is first-encounter, which differs from the dict path only when a
-    cancelled monomial is later re-contributed (the dict re-inserts it at
-    the end) — see the module docstring's exactness note.
-    """
-    if len(ids) == 0:
-        return _EMPTY_IDS, _EMPTY_COEFFS
-    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    totals = np.zeros(len(uniq), dtype=np.float64)
-    np.add.at(totals, rank[inverse], contribs)
-    out_ids = ids[np.sort(first)]
-    keep = totals != 0.0
-    return out_ids[keep], totals[keep]
-
-
-class CompiledPoly:
-    """A concrete polynomial compiled over the interned monomial basis.
-
-    ``ids`` and ``coeffs`` are parallel arrays; ids are unique, coefficients
-    nonzero, and the order is the source dict's insertion order (so round
-    trips through :meth:`to_polynomial` preserve the legacy representation).
-    """
-
-    __slots__ = ("ids", "coeffs")
-
-    def __init__(self, ids: np.ndarray, coeffs: np.ndarray):
-        self.ids = ids
-        self.coeffs = coeffs
-
-    # -- conversions ---------------------------------------------------------
-
-    @staticmethod
-    def from_polynomial(poly: Polynomial) -> "CompiledPoly":
-        if not poly.is_concrete():
-            raise TypeError("only concrete polynomials compile to arrays")
-        n = len(poly.coeffs)
-        ids = np.fromiter((m.iid for m in poly.coeffs), dtype=np.int64, count=n)
-        coeffs = np.fromiter(poly.coeffs.values(), dtype=np.float64, count=n)
-        return CompiledPoly(ids, coeffs)
-
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial(
-            {
-                monomial_of_id(iid): c
-                for iid, c in zip(self.ids.tolist(), self.coeffs.tolist())
-            }
-        )
-
-    # -- queries -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def is_zero(self) -> bool:
-        return len(self.ids) == 0
-
-    def degree(self) -> int:
-        if len(self.ids) == 0:
-            return 0
-        return max(monomial_of_id(iid).degree for iid in self.ids.tolist())
-
-    def evaluate(self, valuation: dict[str, float]) -> float:
-        total = 0.0
-        for iid, c in zip(self.ids.tolist(), self.coeffs.tolist()):
-            total += c * monomial_of_id(iid).evaluate(valuation)
-        return total
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "CompiledPoly") -> "CompiledPoly":
-        return CompiledPoly(
-            *_reduce_first_encounter(
-                np.concatenate((self.ids, other.ids)),
-                np.concatenate((self.coeffs, other.coeffs)),
-            )
-        )
-
-    def __sub__(self, other: "CompiledPoly") -> "CompiledPoly":
-        return self + other.scale(-1.0)
-
-    def scale(self, scalar: float) -> "CompiledPoly":
-        if scalar == 0:
-            return CompiledPoly(_EMPTY_IDS, _EMPTY_COEFFS)
-        coeffs = self.coeffs * scalar
-        keep = coeffs != 0.0  # underflowed products drop, like the dict path
-        return CompiledPoly(self.ids[keep], coeffs[keep])
-
-    def __mul__(self, other: "CompiledPoly | float | int") -> "CompiledPoly":
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        n1, n2 = len(self.ids), len(other.ids)
-        if n1 == 0 or n2 == 0:
-            return CompiledPoly(_EMPTY_IDS, _EMPTY_COEFFS)
-        left = self.ids.tolist()
-        right = other.ids.tolist()
-        pair_ids = np.fromiter(
-            (product_id(a, b) for a in left for b in right),
-            dtype=np.int64,
-            count=n1 * n2,
-        )
-        contribs = np.multiply.outer(self.coeffs, other.coeffs).ravel()
-        return CompiledPoly(*_reduce_first_encounter(pair_ids, contribs))
-
-    # -- analysis operations -------------------------------------------------
-
-    def substitute(self, var: str, replacement: Polynomial) -> "CompiledPoly":
-        return substitution_plan(var, replacement).apply_compiled(self)
-
-    def expect_powers(
-        self, var: str, moment: Callable[[int], float]
-    ) -> "CompiledPoly":
-        return ExpectationPlan(var, moment).apply_compiled(self)
-
-    def __repr__(self) -> str:
-        return f"CompiledPoly({self.to_polynomial()!r})"
-
-
 class TermAccumulator:
     """Replays a ``Polynomial._add_term`` sequence of scaled contributions
     without materializing the scaled coefficients.
 
-    The legacy paths compute ``c * factor`` (allocating a scaled
-    :class:`AffForm` per contribution) and merge it into the result dict
+    Plain polynomial arithmetic computes ``c * factor`` (allocating a scaled
+    :class:`AffForm` per contribution) and merges it into the result dict
     (allocating another on every collision).  The accumulator keeps a plain
     float or a mutable :class:`AffBuilder` per monomial and applies the
     identical float operations (``existing + scale * coeff``) in the
@@ -244,7 +64,7 @@ class TermAccumulator:
     merge cancels to zero is *deleted* (so a later contribution re-inserts
     the monomial at the end, exactly like ``_add_term``).
 
-    The one knowing deviation: the legacy path can keep an explicit ``0.0``
+    The one knowing deviation: ``c * factor`` can keep an explicit ``0.0``
     term inside an ``AffForm`` when an individual product underflows
     (``AffForm.__mul__`` does not filter), while the builder drops it.  That
     requires a coefficient product below ~5e-324; the analysis' dyadic
@@ -260,8 +80,8 @@ class TermAccumulator:
         """``result[mono] += scale * c`` with ``_add_term`` semantics.
 
         An AffForm contribution — even a constant-valued one — makes the
-        accumulated coefficient an AffForm, exactly as the legacy float/
-        AffForm promotion rules do.
+        accumulated coefficient an AffForm, exactly as ``float + AffForm``
+        promotes in :class:`Polynomial` arithmetic.
         """
         if scale == 0.0:
             return
@@ -322,9 +142,10 @@ class SubstitutionPlan:
     scan; the ``2*(m+1)`` interval ends of a moment annotation, and repeated
     assignments across components, all share one plan.
 
-    The factors replay the exact float products of the legacy
-    ``Polynomial.substitute`` (same power-computation algorithm, same term
-    order), so plan-routed substitution is bit-identical to the dict path.
+    The factors are the exact float products of ``rest * replacement ** e``
+    in :class:`Polynomial` arithmetic (same power-computation order, same
+    term order), so applying a plan is bit-identical to expanding the
+    substitution term by term.
     """
 
     __slots__ = ("var", "replacement", "_powers", "_rows")
@@ -379,25 +200,6 @@ class SubstitutionPlan:
                     add(out_mono, c, factor)
         return acc.to_polynomial()
 
-    def apply_compiled(self, compiled: CompiledPoly) -> CompiledPoly:
-        out_ids: list[int] = []
-        contribs: list[float] = []
-        for iid, c in zip(compiled.ids.tolist(), compiled.coeffs.tolist()):
-            row = self.row(monomial_of_id(iid))
-            if row is None:
-                out_ids.append(iid)
-                contribs.append(c)
-            else:
-                for out_mono, factor in row:
-                    out_ids.append(out_mono.iid)
-                    contribs.append(c * factor)
-        return CompiledPoly(
-            *_reduce_first_encounter(
-                np.asarray(out_ids, dtype=np.int64),
-                np.asarray(contribs, dtype=np.float64),
-            )
-        )
-
 
 def substitution_plan(var: str, replacement: Polynomial) -> SubstitutionPlan:
     """A (memoized) plan for ``[replacement / var]``.
@@ -405,7 +207,7 @@ def substitution_plan(var: str, replacement: Polynomial) -> SubstitutionPlan:
     The cache key is order-sensitive in the replacement's terms: two
     polynomials with the same terms in different dict orders compute their
     powers in different float-accumulation orders, and the plans must not be
-    conflated if results are to stay bit-identical with the legacy path.
+    conflated if results are to stay bit-identical to term-by-term expansion.
     """
     key = (var, tuple((m.iid, c) for m, c in replacement.coeffs.items()))
     plan = _PLAN_CACHE.get(key)
@@ -451,21 +253,3 @@ class ExpectationPlan:
             else:
                 add(row[0], c, row[1])
         return acc.to_polynomial()
-
-    def apply_compiled(self, compiled: CompiledPoly) -> CompiledPoly:
-        out_ids: list[int] = []
-        contribs: list[float] = []
-        for iid, c in zip(compiled.ids.tolist(), compiled.coeffs.tolist()):
-            row = self.row(monomial_of_id(iid))
-            if row is None:
-                out_ids.append(iid)
-                contribs.append(c)
-            else:
-                out_ids.append(row[0].iid)
-                contribs.append(c * row[1])
-        return CompiledPoly(
-            *_reduce_first_encounter(
-                np.asarray(out_ids, dtype=np.int64),
-                np.asarray(contribs, dtype=np.float64),
-            )
-        )

@@ -11,8 +11,8 @@ The symbolic kernel (:mod:`repro.poly.kernel`) treats monomials as *small
 integer ids* instead of tuples: every canonical power product is interned
 once per process (:func:`intern_id`), and pairwise products are memoized in
 an ``id x id -> id`` table, so ``Monomial.__mul__`` is a dict probe instead
-of a merge-sort-validate pass.  Interning is exact (no floats are involved)
-and therefore shared by the kernel and the legacy dict paths alike.
+of a merge-sort-validate pass.  Interning is exact (no floats are involved),
+so it changes how fast products are found, never which monomial results.
 
 Ids are process-local: they are assigned in first-intern order and never
 serialized.  Pickling a :class:`Monomial` transports only the canonical
@@ -161,8 +161,8 @@ class _InternTable:
     Reads are lock-free (a dict probe under the GIL); the lock only guards
     id assignment so concurrent batch/fuzz threads cannot race two ids for
     one canonical form.  The table grows monotonically and is never cleared:
-    compiled polynomials and certificate matrices embed ids, so clearing
-    would invalidate every cached artifact in the process.
+    the substitution-plan memo tables are keyed by ids, so clearing would
+    invalidate every cached plan in the process.
     """
 
     __slots__ = ("ids", "monomials", "products", "lock")

@@ -14,11 +14,10 @@ derivation system keep templates *linear* in the LP unknowns:
 Products of two templates are rejected by ``AffForm.__mul__`` — by design,
 since they would leave the LP fragment.
 
-Concrete polynomials additionally compile to an array form over the interned
-monomial basis (:meth:`Polynomial.compiled`, :mod:`repro.poly.kernel`), and
-substitution routes through memoized basis-change plans when the kernel is
-enabled; both are bit-exact replays of the dict-path arithmetic here, so the
-``REPRO_DISABLE_POLY_KERNEL`` escape hatch toggles speed, never results.
+The last two run on memoized basis-change plans over the interned monomial
+basis (:mod:`repro.poly.kernel`).  A plan computes exactly what expanding
+term by term with the ring operations here computes — same floats, same key
+order — only with each monomial's expansion shared across calls.
 """
 
 from __future__ import annotations
@@ -162,65 +161,16 @@ class Polynomial:
 
     # -- analysis-specific operations -------------------------------------------
 
-    def compiled(self):
-        """This polynomial as a :class:`repro.poly.kernel.CompiledPoly`.
-
-        Concrete polynomials only; the arrays index the process-wide
-        interned monomial basis.
-        """
-        from repro.poly.kernel import CompiledPoly
-
-        return CompiledPoly.from_polynomial(self)
-
     def substitute(self, var: str, replacement: "Polynomial") -> "Polynomial":
         """Capture-free substitution ``self[replacement / var]``.
 
-        ``replacement`` must be concrete when ``self`` is a template, so that
-        the result stays affine in the LP unknowns.  With the symbolic
-        kernel enabled the expansion is routed through a memoized
-        :class:`repro.poly.kernel.SubstitutionPlan`, which replays the exact
-        float products of the loop below (bit-identical results) while
-        reusing the per-monomial expansions across calls.
+        ``replacement`` must be concrete (a template raises ``TypeError``),
+        so the result stays affine in the LP unknowns.  The expansion runs
+        on a memoized :class:`repro.poly.kernel.SubstitutionPlan`.
         """
-        if replacement.is_concrete():
-            from repro.poly.kernel import kernel_enabled, substitution_plan
+        from repro.poly.kernel import substitution_plan
 
-            if kernel_enabled():
-                return substitution_plan(var, replacement).apply(self)
-        result = Polynomial()
-        powers: dict[int, Polynomial] = {0: Polynomial.constant(1.0)}
-
-        def replacement_power(e: int) -> Polynomial:
-            while e not in powers:
-                k = max(powers)
-                powers[k + 1] = powers[k] * replacement
-            return powers[e]
-
-        for mono, c in self.coeffs.items():
-            e = mono.exponent_of(var)
-            if e == 0:
-                result._add_term(mono, c)
-                continue
-            rest = mono.without(var)
-            for sub_mono, sub_c in replacement_power(e).coeffs.items():
-                result._add_term(rest * sub_mono, c * sub_c)
-        return result
-
-    def expect_powers(self, var: str, moment: Callable[[int], float]) -> "Polynomial":
-        """Replace each power ``var^k`` by the scalar ``moment(k)``.
-
-        This implements rule (Q-Sample): taking the expectation of the
-        polynomial with respect to a distribution for ``var`` with raw
-        moments ``moment(k)``, using linearity of expectation.
-        """
-        result = Polynomial()
-        for mono, c in self.coeffs.items():
-            e = mono.exponent_of(var)
-            if e == 0:
-                result._add_term(mono, c)
-            else:
-                result._add_term(mono.without(var), c * moment(e))
-        return result
+        return substitution_plan(var, replacement).apply(self)
 
     def evaluate(self, valuation: dict[str, float]) -> Coeff:
         """Evaluate program variables; the result is a coefficient."""

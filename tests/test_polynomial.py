@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lp.affine import AffForm, VarPool
+from repro.poly.kernel import ExpectationPlan
 from repro.poly.monomial import Monomial, monomials_up_to_degree
 from repro.poly.polynomial import Polynomial
 
@@ -131,8 +132,17 @@ class TestPolynomial:
         moments = {0: 1.0, 1: 0.5, 2: 1.0}
         x, y = Polynomial.var("x"), Polynomial.var("y")
         p = x * x * y + 2.0 * x + 5.0
-        q = p.expect_powers("x", lambda k: moments[k])
+        q = ExpectationPlan("x", lambda k: moments[k]).apply(p)
         assert q == y + 6.0
+
+    def test_substitute_template_replacement_rejected(self):
+        # A template replacement would leave the LP fragment once raised to
+        # a power; substitution plans accept concrete replacements only.
+        pool = VarPool()
+        u = AffForm.of_var(pool.fresh("u"))
+        p = Polynomial.var("x") * Polynomial.var("x")
+        with pytest.raises(TypeError):
+            p.substitute("x", Polynomial({Monomial.of("y"): u}))
 
     def test_scale(self):
         p = Polynomial.var("x") + 1.0

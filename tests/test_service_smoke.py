@@ -53,6 +53,11 @@ E[cost] in [3.9, 5.1]
 SMOKE = os.environ.get("REPRO_SERVICE_SMOKE") == "1"
 CHAOS = os.environ.get("REPRO_SERVICE_CHAOS") == "1"
 
+#: The 200-job drill ends with this many sleeps of LONG_SLEEP_SECONDS:
+#: twice its 4 workers, and longer than the drill waits before SIGTERM.
+LONG_SLEEPS = 8
+LONG_SLEEP_SECONDS = 3.0
+
 #: The chaos drill's armed faults: every disk-cache write is corrupted
 #: (discarded and recomputed on the next read) and a quarter of cache
 #: reads fail outright.  Both are recoverable by design — the drill
@@ -230,6 +235,28 @@ def _worker_pids(server_pid):
     return [int(token) for token in out.split()]
 
 
+def _leasing_worker(db, ids, workers, timeout=30.0):
+    """The pid of a fleet worker that holds a lease on one of ``ids``.
+
+    A lease owner is ``host:pid:worker:nonce``; killing that pid is what
+    leaves a lease to retry (an idle worker's death leaves nothing).
+    """
+    store = JobStore(db)
+    try:
+        deadline = time.time() + timeout
+        while time.time() < deadline:
+            for job in store.iter_jobs(ids):
+                if job is None or job.state != "leased" or not job.lease_owner:
+                    continue
+                pid = int(job.lease_owner.rsplit(":", 3)[1])
+                if pid in workers:
+                    return pid
+            time.sleep(0.05)
+    finally:
+        store.close()
+    raise AssertionError("no fleet worker holds a lease to kill")
+
+
 @pytest.mark.smoke
 @pytest.mark.skipif(not SMOKE, reason="set REPRO_SERVICE_SMOKE=1 to run")
 class TestServiceSmoke:
@@ -240,9 +267,14 @@ class TestServiceSmoke:
         ids, analyze_ids, fail_ids = [], [], []
         try:
             # 1. Enqueue a 200-job mix over HTTP: mostly short sleeps with
-            #    real analyses and bounded-retry failures sprinkled in.
+            #    real analyses and bounded-retry failures sprinkled in.  The
+            #    mix ends with more multi-second sleeps than there are
+            #    workers, so jobs are still queued at the SIGTERM below
+            #    however fast the host drains the short ones.
             for i in range(200):
-                if i % 40 == 0:
+                if i >= 200 - LONG_SLEEPS:
+                    body = {"kind": "sleep", "seconds": LONG_SLEEP_SECONDS}
+                elif i % 40 == 0:
                     body = {
                         "program": SIMPLE,
                         "options": {"moments": 1, "at": {"d": 4.0 + i}},
@@ -269,12 +301,12 @@ class TestServiceSmoke:
             counts = verdict["check"]["counts"]
             assert counts["pass"] == 1 and counts["fail"] == 0
 
-            # 2. SIGKILL one worker mid-drill: its lease must be retried,
+            # 2. SIGKILL one worker mid-job: its lease must be retried,
             #    not lost, and the pool must respawn a replacement.
             time.sleep(0.5)
             victims = _worker_pids(proc.pid)
             assert victims, "no worker processes found under repro serve"
-            os.kill(victims[0], signal.SIGKILL)
+            os.kill(_leasing_worker(db, ids, victims), signal.SIGKILL)
 
             # 3. SIGTERM the server mid-queue: graceful drain of in-flight
             #    jobs, everything else stays queued in the DB.
@@ -290,6 +322,7 @@ class TestServiceSmoke:
             1 for job in store.iter_jobs(ids)
             if job is not None and not job.terminal
         )
+        print(f"drill: remaining={remaining} jobs non-terminal at SIGTERM")
         assert remaining > 0, "drill finished before the restart could matter"
         store.close()
 
