@@ -11,13 +11,32 @@ from __future__ import annotations
 import pathlib
 import statistics
 import time
+from functools import partialmethod
 from typing import Callable
+from unittest import mock
 
+import repro.analysis.pipeline as pipeline
 from repro import AnalysisOptions, analyze
 from repro.analysis.results import MomentBoundResult
+from repro.lp.backends import ScipyDenseBackend
+from repro.lp.problem import LPProblem
 from repro.programs import registry
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+def dense_backend():
+    """Pipelines built inside derive onto the dense reference backend
+    (no option selects it; cache keys do not name it, so use fresh
+    pipelines)."""
+    return mock.patch.object(pipeline, "IncrementalBackend", ScipyDenseBackend)
+
+
+def direct_solves():
+    """Every ``LPProblem.solve`` inside bypasses the reduction layer."""
+    return mock.patch.object(
+        LPProblem, "solve", partialmethod(LPProblem.solve, reduce=False)
+    )
 
 
 def timed_median(

@@ -8,7 +8,9 @@ Measures the two things the incremental backend changes:
 2. **End-to-end analysis time** — the Fig. 10 scalability workload (coupon
    chains and chained random walks) at moment degree 4, where the
    lexicographic solve runs four stages and the incremental backend's
-   warm-started model pays off.
+   warm-started model pays off.  The dense arm derives onto
+   :class:`ScipyDenseBackend` by patching the pipeline
+   (``_harness.dense_backend``); no option selects it.
 
 The numbers are written to ``BENCH_lp_assembly.json`` at the repo root so
 the performance trajectory is recorded across PRs.  ``seed`` holds the
@@ -17,18 +19,19 @@ end-to-end timings of the original single-backend engine (commit
 on; the ``improvement_vs_seed`` ratio is the acceptance metric (>= 0.20).
 """
 
+import contextlib
 import json
 import pathlib
 import time
 
 import pytest
 
-from _harness import emit, timed_median
+from _harness import dense_backend, direct_solves, emit, timed_median
 from repro import AnalysisOptions, analyze
 from repro.logic.handelman import clear_certificate_caches
 from repro.lp.affine import AffBuilder, AffForm
 from repro.lp.problem import LPProblem
-from repro.lp.backends import get_backend
+from repro.lp.backends import IncrementalBackend, ScipyDenseBackend
 from repro.poly.kernel import clear_plan_caches
 from repro.programs.synthetic import coupon_chain, rdwalk_chain
 
@@ -52,10 +55,12 @@ WORKLOAD = {
 
 MOMENT_DEGREE = 4
 
+BACKENDS = {"dense": ScipyDenseBackend, "incremental": IncrementalBackend}
+
 
 def _assembly_rate(backend_name: str, rows: int = 4000, width: int = 12) -> float:
     """Rows/second for a certificate-shaped emission stream."""
-    lp = LPProblem(backend=get_backend(backend_name))
+    lp = LPProblem(backend=BACKENDS[backend_name]())
     lams = [lp.fresh_nonneg(f"lam{i}") for i in range(width)]
     coeffs = [lp.fresh(f"c{i}") for i in range(width)]
     start = time.perf_counter()
@@ -86,15 +91,15 @@ def _time_workload(backend_name: str) -> dict[str, float]:
             clear_certificate_caches()
             clear_plan_caches()
 
-        median, _ = timed_median(
-            lambda: analyze(
-                program,
-                AnalysisOptions(moment_degree=MOMENT_DEGREE, backend=backend_name),
-            ),
-            rounds=3,
-            warmup=1,
-            setup=reset,
-        )
+        with dense_backend() if backend_name == "dense" else contextlib.nullcontext():
+            median, _ = timed_median(
+                lambda: analyze(
+                    program, AnalysisOptions(moment_degree=MOMENT_DEGREE)
+                ),
+                rounds=3,
+                warmup=1,
+                setup=reset,
+            )
         times[name] = median
     return times
 
@@ -173,16 +178,15 @@ def test_lp_assembly_and_solve(benchmark):
 def test_incremental_appends_stage_cuts():
     """Spot-check on a real program: 4 stages, 1 model build, 3 cut rows.
 
-    The reduction layer is forced off — it routes solves to per-block
+    The reduction layer is bypassed — it routes solves to per-block
     backend instances (covered by ``bench_solve.py``); this spot-check is
     about the *direct* incremental path.
     """
     from repro import AnalysisPipeline
-    from repro.lp.reduce import reduce_override
 
     pipe = AnalysisPipeline(coupon_chain(2))
-    options = AnalysisOptions(moment_degree=4, backend="incremental")
-    with reduce_override(False):
+    options = AnalysisOptions(moment_degree=4)
+    with direct_solves():
         pipe.analyze(options)
     stats = pipe.constraint_system(options).lp.backend.stats
     assert stats.model_builds == 1

@@ -7,11 +7,11 @@ motivated the LP reduction layer (after PR 4 vectorized derivation, ~80%
 of analysis wall time sat in the solve loop; see ``BENCH_constraints.json``
 ``stage_split_rdwalk_chain_2``).  Three configurations:
 
-* ``reduced``  — the default path (``REPRO_DISABLE_LP_REDUCE`` unset):
-  presolve over the row buffers, connected-component block models,
-  per-block lexicographic pins;
-* ``direct``   — the kill-switch path: the raw system handed to the
-  warm-started incremental backend (the PR-4 solve path, unchanged);
+* ``reduced``  — the analyzer's only path: presolve over the row buffers,
+  connected-component block models, per-block lexicographic pins;
+* ``direct``   — ``LPProblem.solve(reduce=False)``, reached by patching
+  (``_harness.direct_solves``): the raw system handed to the warm-started
+  incremental backend (the solve loop the seed timings measured);
 * ``seed``     — hardcoded PR-4 timings (commit ``609d83e``) from the
   machine grid this file was introduced on; the acceptance metric is
   ``seed_total / reduced_total >= 2`` on that machine, with a
@@ -26,7 +26,7 @@ it on the default (reduced) path by restarting the lexicographic solve
 under tighter coefficient boxes (the ``lp_restart_bound`` ladder; a
 restricted certificate family is still a sound certificate family).  The
 bench asserts the default path *solves* it and times that solve; the
-kill-switch path still fails — per-block pins and presolve are what make
+direct path still fails — per-block pins and presolve are what make
 the tighter boxes certifiable — and its outcome is recorded in the JSON
 rather than hidden.  The instance stays out of the speedup ratio (the
 seed analyzer could not solve it at all).
@@ -47,14 +47,14 @@ committed baseline) together with the LP shape stats recorded from the
 reduction layer itself.
 """
 
+import contextlib
 import json
 import os
 import pathlib
 
-from _harness import emit, timed_median
+from _harness import direct_solves, emit, timed_median
 from repro import AnalysisOptions, AnalysisPipeline
 from repro.lp import reduce as lp_reduce
-from repro.lp.reduce import reduce_override
 from repro.programs import registry
 from repro.programs.synthetic import coupon_chain, rdwalk_chain
 
@@ -91,7 +91,7 @@ WARMUP = 1
 
 
 def _solve_seconds(make, reduced: bool, options: AnalysisOptions | None = None):
-    """Best-of-k solve+resolve time with the reduction layer forced on/off.
+    """Best-of-k solve+resolve time through the reduction layer or not.
 
     Derivation (stages 1-3) is primed in the untimed per-round setup; a
     fresh pipeline per round keeps the solution caches cold, so each round
@@ -110,7 +110,7 @@ def _solve_seconds(make, reduced: bool, options: AnalysisOptions | None = None):
         state["pipe"] = pipe
 
     def run():
-        with reduce_override(reduced):
+        with contextlib.nullcontext() if reduced else direct_solves():
             state["pipe"].analyze(options)
 
     median, times = timed_median(run, rounds=ROUNDS, warmup=WARMUP, setup=setup)
@@ -129,7 +129,7 @@ def _restart_outcome(make, reduced: bool) -> dict:
     pipe = AnalysisPipeline(make())
     pipe.constraint_system(options)
     started = time.perf_counter()
-    with reduce_override(reduced):
+    with contextlib.nullcontext() if reduced else direct_solves():
         try:
             result = pipe.analyze(options)
         except Exception as exc:
@@ -172,7 +172,7 @@ def test_solve_layer(benchmark):
         direct[name], direct_median[name], _ = _solve_seconds(make, False)
 
     # Degenerate-template instance: the default path must now solve it
-    # (template-restart ladder); the kill-switch path's outcome is
+    # (template-restart ladder); the direct path's outcome is
     # recorded, not asserted — it has no per-block pins to certify under.
     restart_name, restart_make = RESTART_INSTANCE
     restart = {
@@ -278,13 +278,13 @@ def test_solve_layer(benchmark):
     )
 
     # The analyzer must solve the degenerate instance on its default path
-    # (template-restart ladder; PR 6).  The kill-switch path has no
+    # (template-restart ladder).  The direct path has no
     # per-block pins, so its outcome is recorded but not constrained.
     assert restart["reduced"]["outcome"] == "solved", restart
 
     # Acceptance: >= 2x solve_and_resolve speedup vs the PR-4 analyzer on
     # this workload.  The recorded seed timings are from the machine this
-    # file was introduced on; on other hardware the kill-switch path —
+    # file was introduced on; on other hardware the direct path —
     # identical to PR-4's solve loop — is the proxy, with a floor the
     # reduction must beat.
     assert speedup_vs_seed >= 2.0 or speedup_vs_direct >= 1.5, (
@@ -299,8 +299,7 @@ def test_reduction_shrinks_the_solved_core():
     substantial share of columns and rows on the certificate systems."""
     options = AnalysisOptions(moment_degree=MOMENT_DEGREE)
     pipe = AnalysisPipeline(rdwalk_chain(2))
-    with reduce_override(True):
-        pipe.analyze(options)
+    pipe.analyze(options)
     stats = pipe.constraint_system(options).lp.reduction_stats()
     assert stats["reduced_cols"] <= 0.5 * stats["cols"]
     assert stats["reduced_rows"] <= 0.5 * stats["rows"]

@@ -10,5 +10,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy", "scipy>=1.15"],
 )

@@ -9,7 +9,7 @@ stage                 artifact (cache key)
 static analysis       ``ProgramInfo``            (per program)
 context analysis      ``ContextMap``             (per program)
 constraint derivation ``ConstraintSystem``       (m, d, upper_only, unit_cost,
-                                                  degree_cap, backend)
+                                                  degree_cap)
 LP solving            ``StageSolution``          (the above + valuations,
                                                   lexicographic, lp_bound)
 resolution            ``MomentBoundResult``      (not cached: cheap)
@@ -22,9 +22,9 @@ context stages.  Lexicographic stage cuts are rolled back after every solve
 (:meth:`~repro.lp.problem.LPProblem.rollback`), leaving the cached
 constraint system pristine for the next objective.
 
-``analyze`` is the one-shot convenience wrapper (what the CLI and the old
-``engine.analyze`` call); ``analyze_many`` is the batch driver that runs a
-workload of programs concurrently via :mod:`concurrent.futures`.
+``analyze`` is the one-shot convenience wrapper (re-exported as
+``repro.analyze``); ``analyze_many`` runs a workload of programs
+concurrently via :mod:`concurrent.futures`.
 
 Timing: each artifact records its own wall time (``derive_seconds`` on the
 constraint system, ``solve_seconds`` on the solution), splitting derivation
@@ -66,7 +66,7 @@ from repro.lang.varinfo import ProgramInfo, analyze_program as static_info
 from repro.logic.absint import ContextMap, compute_contexts
 from repro.logic.context import Context
 from repro.lp.affine import AffForm
-from repro.lp.backends import get_backend
+from repro.lp.backends import IncrementalBackend
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 from repro.lp.problem import LPProblem
 
@@ -82,17 +82,14 @@ class AnalysisOptions:
     ``template_degree`` is ``d`` (the k-th moment component uses polynomials
     of degree ``k*d``).  ``objective_valuations`` are the concrete points at
     which imprecision is minimized; when omitted, a feasible point of main's
-    pre-condition is computed automatically.  ``backend`` picks the LP
-    backend by registry name (``None`` = the default incremental backend;
-    see :mod:`repro.lp.backends`).  ``lp_reduce`` selects the
-    structure-exploiting LP reduction layer (:mod:`repro.lp.reduce`):
-    ``None`` follows the process-wide switch (on unless
-    ``REPRO_DISABLE_LP_REDUCE`` is set), ``False``/``True`` force it off/on
-    for this analysis.
+    pre-condition is computed automatically.  Every analysis derives onto
+    the incremental HiGHS backend (:mod:`repro.lp.backends`) and solves
+    through the LP reduction layer (:mod:`repro.lp.reduce`); neither is an
+    option.
 
     ``deadline_seconds`` bounds the analysis wall-clock: a monotonic
     :class:`~repro.deadline.Deadline` token is armed for the run and
-    checked at every stage boundary, inside both LP backends, the reduce
+    checked at every stage boundary, inside the LP backends, the reduce
     block loop, and vectorized MC supersteps; expiry raises
     :class:`~repro.deadline.AnalysisTimeout`.
     ``degrade`` opts into the graceful-degradation ladder: on timeout (or
@@ -113,8 +110,6 @@ class AnalysisOptions:
     lexicographic: bool = True
     lp_bound: float = 1e12
     degree_cap: int | None = None
-    backend: str | None = None
-    lp_reduce: bool | None = None
     deadline_seconds: float | None = None
     degrade: bool = False
 
@@ -134,7 +129,6 @@ class AnalysisOptions:
             self.upper_only,
             self.unit_cost,
             self.degree_cap,
-            self.backend,
         )
 
     def solve_key(self, valuations: list[dict[str, float]]) -> tuple:
@@ -143,19 +137,7 @@ class AnalysisOptions:
             frozen,
             self.lexicographic,
             self.lp_bound,
-            self.effective_lp_reduce(),
         )
-
-    def effective_lp_reduce(self) -> bool:
-        """Whether this analysis solves through the LP reduction layer.
-
-        Resolved against the process-wide switch at call time, so cache
-        keys — which must distinguish reduced from unreduced solves — stay
-        truthful even when the ``None`` default is in effect.
-        """
-        from repro.lp.reduce import reduce_enabled
-
-        return reduce_enabled() if self.lp_reduce is None else self.lp_reduce
 
     def result_key(self, valuations: list[dict[str, float]]) -> tuple:
         """The options a final :class:`MomentBoundResult` depends on."""
@@ -329,7 +311,7 @@ class AnalysisPipeline:
         start = time.perf_counter()
         info = self.static_info()
         cmap = self.context_map()
-        lp = LPProblem(backend=get_backend(options.backend))
+        lp = LPProblem(backend=IncrementalBackend())
         called = sorted(
             set().union(*(info.call_graph[f] for f in info.reachable))
             & info.reachable
@@ -751,9 +733,9 @@ def _lexicographic_solve(
     """Lexicographic minimization of imprecision, first moment first.
 
     Between stages only a *cut row* pinning the previous stage's optimum is
-    appended — with the incremental backend this re-optimizes the persistent
-    warm-started model instead of rebuilding it, and with the reduction
-    layer the cut lands on the live per-block models in reduced coordinates.
+    appended.  The reduction layer lands it on the live per-block models in
+    reduced coordinates, and each block re-optimizes its persistent
+    warm-started HiGHS model instead of rebuilding it.
 
     The recorded ``objective_values`` are the un-padded stage optima; the
     cut adds a ``1e-5 * (1 + |optimum|)``-scale margin (kept well above the
@@ -764,7 +746,6 @@ def _lexicographic_solve(
     actually was.
     """
     m = main_pre.degree
-    reduce = options.effective_lp_reduce()
     stage_objectives: list[AffForm] = []
     for k in range(1, m + 1):
         obj = AffForm.constant(0.0)
@@ -785,7 +766,7 @@ def _lexicographic_solve(
         total = AffForm.constant(0.0)
         for obj in stage_objectives:
             total = total + obj
-        solution = lp.solve(total, bound=options.lp_bound, reduce=reduce)
+        solution = lp.solve(total, bound=options.lp_bound)
         return solution, [solution.objective], [solution.status], [1.0], [0.0]
 
     solution = None
@@ -805,7 +786,7 @@ def _lexicographic_solve(
         scale = max(abs(c) for c in obj.terms.values())
         scaled = obj * (1.0 / scale)
         try:
-            solution = lp.solve(scaled, bound=options.lp_bound, reduce=reduce)
+            solution = lp.solve(scaled, bound=options.lp_bound)
         except AnalysisTimeout as exc:
             # Stage k bounds the k-th moment: record how many moments were
             # fully solved so the degradation ladder can start there.
@@ -827,7 +808,7 @@ def _lexicographic_solve(
         else:
             tolerances.append(0.0)
     if solution is None:
-        solution = lp.solve(None, bound=options.lp_bound, reduce=reduce)
+        solution = lp.solve(None, bound=options.lp_bound)
     return solution, objective_values, statuses, scales, tolerances
 
 

@@ -42,9 +42,9 @@ and prints the top-N cumulative hotspots per stage, the LP reduction
 layer's presolve statistics (columns eliminated by rule, rows
 deduped/vacuous, component count and sizes, per-component solve times), and
 the derivation-vs-solve wall-time split — the starting point for
-performance work.  ``--no-lp-reduce`` (``analyze``, ``batch``, ``fuzz``)
-bypasses the reduction layer for this run, mirroring the process-wide
-``REPRO_DISABLE_LP_REDUCE`` switch.
+performance work.  No flag or environment variable selects the LP path:
+every command solves on the incremental HiGHS backend through the
+reduction layer.
 
 ``--deadline SECONDS`` (``analyze``, ``fuzz``) caps analysis wall clock:
 ``analyze`` fails fast with an analysis-deadline error (exit code 2), or —
@@ -75,7 +75,6 @@ from repro import (
     parse_program,
 )
 from repro.deadline import AnalysisTimeout
-from repro.lp.backends import available_backends
 
 
 def _parse_valuation(text: str) -> dict[str, float]:
@@ -90,18 +89,6 @@ def _parse_valuation(text: str) -> dict[str, float]:
             )
         valuation[name.strip()] = float(value)
     return valuation
-
-
-def _add_backend_flag(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="LP backend (default: incremental warm-started HiGHS)",
-    )
-    cmd.add_argument(
-        "--no-lp-reduce", action="store_true",
-        help="solve the raw LP directly, bypassing the presolve/"
-        "decomposition reduction layer (repro.lp.reduce)",
-    )
 
 
 def _add_cache_flag(cmd: argparse.ArgumentParser) -> None:
@@ -174,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cumulative hotspots per stage (default N=10) plus the "
         "derivation-vs-solve wall-time split",
     )
-    _add_backend_flag(analyze_cmd)
     _add_cache_flag(analyze_cmd)
 
     batch_cmd = sub.add_parser(
@@ -214,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress per-program success rows; failures are still "
         "printed per program and the exit code is still non-zero",
     )
-    _add_backend_flag(batch_cmd)
     _add_cache_flag(batch_cmd)
 
     check_cmd = sub.add_parser(
@@ -323,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=("thread", "process"), default="thread",
         help="fan the analysis phase out over threads or processes",
     )
-    _add_backend_flag(fuzz_cmd)
     _add_cache_flag(fuzz_cmd)
 
     fuzz_sub = fuzz_cmd.add_subparsers(dest="fuzz_command", metavar="")
@@ -549,8 +533,6 @@ def _run_analyze(args, out) -> int:
         template_degree=args.degree,
         degree_cap=args.degree_cap,
         objective_valuations=valuations,
-        backend=args.backend,
-        lp_reduce=False if args.no_lp_reduce else None,
         deadline_seconds=args.deadline,
         degrade=args.degrade,
     )
@@ -615,11 +597,7 @@ def _profiled_analyze(pipeline, options, top: int, out):
         print(f"--- profile: {name} stage ({walls[name]:.3f}s wall) ---", file=out)
         print(body[header:].rstrip() or "(nothing measurable)", file=out)
         if name == "solve":
-            _print_reduction_stats(
-                getattr(staged, "reduction", None),
-                options.effective_lp_reduce(),
-                out,
-            )
+            _print_reduction_stats(getattr(staged, "reduction", None), out)
     total = sum(walls.values())
     derivation = walls["static"] + walls["context"] + walls["constraints"]
     print(
@@ -632,21 +610,14 @@ def _profiled_analyze(pipeline, options, top: int, out):
     return pipeline.analyze(options)
 
 
-def _print_reduction_stats(stats, enabled: bool, out) -> None:
+def _print_reduction_stats(stats, out) -> None:
     """Presolve statistics of the LP reduction layer (``--profile``)."""
     if not stats:
-        if enabled:
-            print(
-                "--- lp reduction: unavailable (the reducer fell back to the "
-                "direct backend for this system) ---",
-                file=out,
-            )
-        else:
-            print(
-                "--- lp reduction: off (REPRO_DISABLE_LP_REDUCE or "
-                "--no-lp-reduce) ---",
-                file=out,
-            )
+        print(
+            "--- lp reduction: unavailable (the reducer fell back to the "
+            "direct backend for this system) ---",
+            file=out,
+        )
         return
     print(
         f"--- lp reduction: {stats['cols']}->{stats['reduced_cols']} cols, "
@@ -696,8 +667,6 @@ def _run_batch(args, out) -> int:
             template_degree=bench.template_degree,
             degree_cap=bench.degree_cap,
             objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-            backend=args.backend,
-            lp_reduce=False if args.no_lp_reduce else None,
         )
         workload[name] = (registry.parsed(name), options)
     if not workload:
@@ -988,10 +957,8 @@ def _run_fuzz(args, out) -> int:
             config,
             jobs=args.jobs,
             executor=args.executor,
-            backend=args.backend,
             cache=cache,
             out_dir=args.out,
-            lp_reduce=False if args.no_lp_reduce else None,
         )
         combined.outcomes.extend(report.outcomes)
         combined.elapsed = time.perf_counter() - started

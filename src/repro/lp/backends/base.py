@@ -3,20 +3,18 @@
 An :class:`LPBackend` owns the *row storage* of one :class:`~repro.lp.problem.
 LPProblem` and knows how to solve the accumulated system.  Splitting storage
 from the problem façade lets each backend pick the representation its solver
-wants — affine-form rows rebuilt per solve (:class:`ScipyDenseBackend`) or
-growing COO triplet buffers feeding a persistent warm-started HiGHS model
-(:class:`IncrementalBackend`).
-
-Backends are registered by name (``register_backend``) and looked up with
-``get_backend``; the analysis pipeline and the CLI select one via
-``AnalysisOptions.backend`` / ``--backend``.
+wants: growing COO triplet buffers feeding a persistent warm-started HiGHS
+model (:class:`IncrementalBackend`, the analyzer's only backend) or
+affine-form rows rebuilt per solve (:class:`ScipyDenseBackend`, the last
+rung of the incremental backend's robustness cascade and the parity
+reference of ``tests/test_backends.py``).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.lp.core import LPSolution
 
@@ -27,8 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: require ``terms·x + const >= 0``.
 EQ = "eq"
 GE = "ge"
-
-DEFAULT_BACKEND = "incremental"
 
 
 @dataclass
@@ -80,8 +76,6 @@ class Checkpoint:
 
 class LPBackend(abc.ABC):
     """Row storage plus solving for one LP problem instance."""
-
-    name: str = "abstract"
 
     def __init__(self) -> None:
         self.stats = BackendStats()
@@ -136,25 +130,3 @@ class LPBackend(abc.ABC):
     ) -> LPSolution:
         """Solve the accumulated system, optimizing the objective terms."""
 
-
-_REGISTRY: dict[str, Callable[[], LPBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], LPBackend]) -> None:
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def get_backend(name: str | None = None) -> LPBackend:
-    """Instantiate a backend by registry name (default: ``incremental``)."""
-    key = name or DEFAULT_BACKEND
-    try:
-        factory = _REGISTRY[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown LP backend {key!r}; available: {available_backends()}"
-        ) from None
-    return factory()

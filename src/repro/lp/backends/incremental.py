@@ -16,15 +16,16 @@ second moment, ...):
    re-optimizes from the stage-``k`` vertex in a handful of iterations
    instead of cold-starting the whole LP.
 
-The bindings used are the ``highspy`` ones scipy bundles for its own
-``linprog`` wrapper (``scipy.optimize._highspy``); if a scipy build does not
-ship them the backend registry falls back to :class:`ScipyDenseBackend`
-(see :mod:`repro.lp.backends`).
+The bindings used are the standalone ``highspy`` wheel when installed, else
+the copy scipy bundles for its own ``linprog`` wrapper
+(``scipy.optimize._highspy``, shipped since scipy 1.15).  With neither,
+importing this module raises :class:`ImportError`.  When every HiGHS rung
+of the robustness cascade fails, the last rung hands the rows to
+:class:`~repro.lp.backends.scipy_dense.ScipyDenseBackend`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import TYPE_CHECKING
 
@@ -37,28 +38,10 @@ from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lp.problem import LPProblem
 
-if os.environ.get("REPRO_DISABLE_HIGHS"):
-    # CI lever: force the scipy fallback path even when a HiGHS binding is
-    # importable, so the dense leg of the matrix tests what it claims to.
-    _hs = None
-    _HIGHS_AVAILABLE = False
-else:
-    try:  # standalone highspy, if the environment has it
-        import highspy as _hs  # type: ignore
-
-        _HIGHS_AVAILABLE = True
-    except ImportError:  # the copy scipy bundles (scipy >= 1.15)
-        try:
-            from scipy.optimize._highspy import _core as _hs  # type: ignore
-
-            _HIGHS_AVAILABLE = True
-        except ImportError:  # pragma: no cover - environment without either
-            _hs = None
-            _HIGHS_AVAILABLE = False
-
-
-def highs_available() -> bool:
-    return _HIGHS_AVAILABLE
+try:  # standalone highspy, if the environment has it
+    import highspy as _hs  # type: ignore
+except ImportError:  # the copy scipy bundles (scipy >= 1.15)
+    from scipy.optimize._highspy import _core as _hs  # type: ignore
 
 
 def _new_highs():
@@ -117,8 +100,6 @@ class _RowBuffer:
 
 class IncrementalBackend(LPBackend):
     """Triplet-buffer assembly with warm-started incremental HiGHS solves."""
-
-    name = "incremental"
 
     def __init__(self) -> None:
         super().__init__()
@@ -294,10 +275,6 @@ class IncrementalBackend(LPBackend):
         bound: float,
         regularization: float,
     ) -> LPSolution:
-        if not _HIGHS_AVAILABLE:  # pragma: no cover - guarded at registry
-            return self._fallback_dense(
-                problem, objective, objective_const, minimize, bound, regularization
-            )
         self.stats.solves += 1
         n = len(problem.pool)
         if n == 0:

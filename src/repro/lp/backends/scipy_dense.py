@@ -1,9 +1,10 @@
-"""The legacy solving path: rebuild CSR matrices and cold-start HiGHS.
+"""The dense solving path: rebuild CSR matrices and cold-start HiGHS.
 
-Kept as the reference backend: it goes through ``scipy.optimize.linprog``,
-reassembling the full constraint matrices from the stored rows on every
-``solve`` call.  Simple, battle-tested, and the parity baseline for the
-incremental backend.
+It goes through ``scipy.optimize.linprog``, reassembling the full
+constraint matrices from the stored rows on every ``solve`` call.  Simple
+and battle-tested, it is the last rung of the incremental backend's
+robustness cascade and the parity baseline the tests compare the
+incremental backend against.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class ScipyDenseBackend(LPBackend):
     """Affine-form row lists, full matrix rebuild per solve."""
-
-    name = "dense"
 
     def __init__(self) -> None:
         super().__init__()

@@ -9,18 +9,18 @@ constraints").
 :class:`LPProblem` is a thin façade: it owns the variable pool, performs the
 constant-row feasibility checks at emission time, and keeps the ``note``
 annotations used for infeasibility diagnostics.  Row storage and solving are
-delegated to a pluggable backend (:mod:`repro.lp.backends`) — by default the
-incremental warm-started HiGHS backend; ``backend="dense"`` selects the
-legacy rebuild-per-solve scipy path.
+delegated to a backend (:mod:`repro.lp.backends`): the incremental
+warm-started HiGHS backend unless the caller passes another instance (the
+parity tests pass :class:`~repro.lp.backends.ScipyDenseBackend`).
 
-Solves normally route through the structure-exploiting reduction layer
+Solves route through the structure-exploiting reduction layer
 (:mod:`repro.lp.reduce`): a vectorized presolve over the backend's row
 buffers plus a connected-component block decomposition, with lexicographic
 cut rows appended to the live block models in reduced coordinates.  The
 layer is an overlay over the backend's row storage — checkpoints and
-rollbacks keep their semantics — and is disabled per solve
-(``solve(reduce=False)``), per options (``AnalysisOptions.lp_reduce``), or
-process-wide (``REPRO_DISABLE_LP_REDUCE``).
+rollbacks keep their semantics.  ``solve(reduce=False)`` is the direct
+backend solve: the path the reducer itself falls back to, and the oracle
+of the reduction tests.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lp.affine import AffBuilder, AffForm, LinVar, VarPool
-from repro.lp.backends import Checkpoint, LPBackend, get_backend
+from repro.lp.backends import Checkpoint, IncrementalBackend, LPBackend
 from repro.lp.backends.base import EQ, GE
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
-from repro.lp.reduce import ReducedSolver, reduce_enabled
+from repro.lp.reduce import ReducedSolver
 
 __all__ = [
     "LPError",
@@ -47,7 +47,7 @@ _DIAGNOSTIC_NOTES = 6
 @dataclass
 class LPProblem:
     pool: VarPool = field(default_factory=VarPool)
-    backend: LPBackend = field(default_factory=get_backend)
+    backend: LPBackend = field(default_factory=IncrementalBackend)
     _nonneg: set[int] = field(default_factory=set)
     _eq_notes: dict[int, str] = field(default_factory=dict)
     _ge_notes: dict[int, str] = field(default_factory=dict)
@@ -215,7 +215,7 @@ class LPProblem:
         minimize: bool = True,
         bound: float = 1e12,
         regularization: float = 1e-7,
-        reduce: bool | None = None,
+        reduce: bool = True,
     ) -> LPSolution:
         """Solve the accumulated system, optimizing ``objective``.
 
@@ -229,11 +229,9 @@ class LPProblem:
         occasionally drives HiGHS to give up; preferring small certificates
         breaks the ties at negligible cost to the optimum.
 
-        ``reduce`` selects the structure-exploiting reduction layer
-        (:mod:`repro.lp.reduce`): ``None`` follows the process-wide switch
-        (on unless ``REPRO_DISABLE_LP_REDUCE`` is set), ``False`` forces the
-        direct backend solve, ``True`` forces reduction.  Either path
-        returns full-variable-space values.
+        ``reduce=False`` bypasses the reduction layer
+        (:mod:`repro.lp.reduce`) and hands the raw system to the backend.
+        Either path returns full-variable-space values.
         """
         from repro import faults
 
@@ -243,8 +241,7 @@ class LPProblem:
         if objective is not None:
             terms = objective.terms
             const = objective.const
-        use_reduce = reduce_enabled() if reduce is None else reduce
-        if use_reduce:
+        if reduce:
             if self._reducer is None:
                 self._reducer = ReducedSolver(self)
             return self._reducer.solve(

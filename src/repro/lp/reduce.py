@@ -46,17 +46,16 @@ semantics.  Columns that appear in stage objectives or cut rows must
 survive into the core; the pipeline declares them up front
 (:meth:`LPProblem.protect_columns`), and an undeclared objective/cut column
 that was eliminated triggers an automatic recompute with that column
-protected.  ``REPRO_DISABLE_LP_REDUCE`` is the kill switch, mirroring
-``REPRO_DISABLE_HIGHS``; CI runs a reduce-off matrix leg and
-``tests/test_lp_reduce.py`` checks bound-level parity on the registry and
-fuzz corpus.
+protected.  The layer is the only solve path the analyzer takes; the
+direct backend solve (``LPProblem.solve(reduce=False)``) survives as the
+fallback :meth:`ReducedSolver.solve` takes when a reduction cannot be
+used, and as the oracle against which ``tests/test_lp_reduce.py`` checks
+bound-level parity on the registry and fuzz corpus.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -70,15 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.lp.backends.base import LPBackend
     from repro.lp.problem import LPProblem
 
-__all__ = [
-    "ReducedSolver",
-    "ReductionStats",
-    "reduce_enabled",
-    "reduce_override",
-    "set_reduce_enabled",
-]
-
-_ENABLED = not os.environ.get("REPRO_DISABLE_LP_REDUCE")
+__all__ = ["ReducedSolver", "ReductionStats"]
 
 #: Stacking gate: pristine blocks are concatenated into one block-diagonal
 #: live model when at least ``_STACK_MIN_BLOCKS`` of them share a shape and
@@ -101,29 +92,6 @@ _FEAS_TOL = 1e-7
 _FREE = "free"  # free singleton column absorbed its (eq or ge) row
 _SLACK = "slack"  # λ singleton column turned an equality into an inequality
 _GE_SLACK = "ge_slack"  # λ singleton column satisfied its inequality alone
-
-
-def reduce_enabled() -> bool:
-    """Whether the LP reduction layer is active in this process."""
-    return _ENABLED
-
-
-def set_reduce_enabled(enabled: bool) -> bool:
-    """Toggle the reduction layer (returns the previous state)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def reduce_override(enabled: bool):
-    """Run a block with the reduction layer forced on or off."""
-    previous = set_reduce_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_reduce_enabled(previous)
 
 
 class _Invalidate(Exception):

@@ -53,7 +53,6 @@ from repro.analysis.pipeline import AnalysisOptions, AnalysisPipeline
 from repro.deadline import AnalysisTimeout
 from repro.lang.parser import ParseError, parse_program
 from repro.lang.varinfo import ValidationError
-from repro.lp.backends import available_backends
 from repro.lp.core import LPInfeasibleError
 from repro.service.cache import ArtifactCache, program_key
 from repro.service.store import Job, JobStore
@@ -66,12 +65,10 @@ _OPTION_KEYS = {
     "degree",
     "degree_cap",
     "at",
-    "backend",
     "upper_only",
     "unit_cost",
     "lexicographic",
     "lp_bound",
-    "lp_reduce",
     "check",
     "deadline",
     "degrade",
@@ -91,12 +88,31 @@ class RequestError(ValueError):
     """
 
 
+def _json_flag(data: dict, key: str, default: bool) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise RequestError(f"options.{key} must be true or false, got {value!r}")
+    return value
+
+
+def _json_int(data: dict, key: str, default: "int | None") -> "int | None":
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    # bool is an int subclass; a JSON true is not a degree.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RequestError(f"options.{key} must be an integer, got {value!r}")
+    return value
+
+
 def options_from_dict(data: "dict | None") -> AnalysisOptions:
     """Build :class:`AnalysisOptions` from a request's ``options`` object.
 
     Mirrors the CLI flag mapping exactly (``at`` becomes a single objective
     valuation), so a served analysis and ``repro analyze`` construct the
-    same cache key and return the same result.
+    same cache key and return the same result.  Flags must be JSON
+    booleans and degrees JSON integers: ``"false"`` or ``2.9`` is a
+    :class:`RequestError`, not a silently coerced analysis.
     """
     data = data or {}
     if not isinstance(data, dict):
@@ -123,35 +139,23 @@ def options_from_dict(data: "dict | None") -> AnalysisOptions:
             at = tuple(
                 {str(k): float(v) for k, v in one.items()} for one in at
             )
-        backend = data.get("backend")
-        if backend is not None and backend not in available_backends():
-            raise RequestError(
-                f"unknown LP backend {backend!r}; available: {available_backends()}"
-            )
-        lp_reduce = data.get("lp_reduce")
-        if lp_reduce is not None:
-            lp_reduce = bool(lp_reduce)
         deadline = data.get("deadline")
         if deadline is not None:
             deadline = float(deadline)
             if deadline <= 0:
                 raise RequestError("options.deadline must be positive seconds")
         return AnalysisOptions(
-            moment_degree=int(data.get("moments", 2)),
-            template_degree=int(data.get("degree", 1)),
-            degree_cap=(
-                int(data["degree_cap"]) if data.get("degree_cap") is not None else None
-            ),
+            moment_degree=_json_int(data, "moments", 2),
+            template_degree=_json_int(data, "degree", 1),
+            degree_cap=_json_int(data, "degree_cap", None),
             objective_valuations=at or None,
-            upper_only=bool(data.get("upper_only", False)),
-            unit_cost=bool(data.get("unit_cost", False)),
-            check_soundness=bool(data.get("check", False)),
-            lexicographic=bool(data.get("lexicographic", True)),
+            upper_only=_json_flag(data, "upper_only", False),
+            unit_cost=_json_flag(data, "unit_cost", False),
+            check_soundness=_json_flag(data, "check", False),
+            lexicographic=_json_flag(data, "lexicographic", True),
             lp_bound=float(data.get("lp_bound", 1e12)),
-            backend=backend,
-            lp_reduce=lp_reduce,
             deadline_seconds=deadline,
-            degrade=bool(data.get("degrade", False)),
+            degrade=_json_flag(data, "degrade", False),
         )
     except RequestError:
         raise
@@ -183,10 +187,6 @@ def options_to_dict(options: AnalysisOptions) -> dict:
         out["lexicographic"] = False
     if options.lp_bound != 1e12:
         out["lp_bound"] = options.lp_bound
-    if options.backend is not None:
-        out["backend"] = options.backend
-    if options.lp_reduce is not None:
-        out["lp_reduce"] = options.lp_reduce
     if options.deadline_seconds is not None:
         out["deadline"] = options.deadline_seconds
     if options.degrade:

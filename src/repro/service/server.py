@@ -37,12 +37,13 @@ Endpoints:
   cache hit rate, and p50/p99 analysis latency; JSON by default,
   Prometheus text with ``?format=prometheus`` (or ``Accept:
   text/plain``).  See :mod:`repro.service.metrics` for every field.
-* ``GET /health`` — liveness plus backend/fleet facts.
+* ``GET /health`` — liveness plus queue/fleet facts.
 * ``GET /cache/stats`` — artifact-cache counters.
 
 ``options`` accepts the CLI's vocabulary: ``moments``, ``degree``,
-``degree_cap``, ``at`` (a ``{var: value}`` valuation), ``backend``,
-``upper_only``, ``unit_cost``, ``lexicographic``, ``lp_bound``, ``check``.
+``degree_cap``, ``at`` (a ``{var: value}`` valuation), ``upper_only``,
+``unit_cost``, ``lexicographic``, ``lp_bound``, ``check``, ``deadline``,
+``degrade``.  Any other key is a 400.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ from threading import Lock
 from repro import __version__
 from repro.analysis.pipeline import AnalysisPipeline
 from repro.lang.parser import ParseError, parse_program
-from repro.lp.backends import available_backends
-from repro.lp.backends.incremental import highs_available
 from repro.service.cache import ArtifactCache, program_key
 from repro.service.executor import run_batch
 from repro.service.jobs import (
@@ -420,8 +419,6 @@ class AnalysisService:
             "version": __version__,
             "uptime_seconds": time.time() - self.started,
             "requests": self.requests,
-            "backends": available_backends(),
-            "highs": highs_available(),
             "warm_pipelines": len(self._pipelines),
             "queue": self.store is not None,
         }
@@ -503,7 +500,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            # The body's framing is unknown: answer, then drop the connection.
+            self.close_connection = True
+            raise RequestError("Content-Length must be an integer") from None
         if length <= 0:
             raise RequestError("empty request body")
         try:

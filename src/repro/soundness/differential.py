@@ -280,8 +280,6 @@ def compare_bounds(
 def check_case(
     case: FuzzCase,
     config: DifferentialConfig | None = None,
-    backend: str | None = None,
-    lp_reduce: "bool | None" = None,
 ) -> CaseOutcome:
     """Run the full differential check on a single case, in-process."""
     config = config or DifferentialConfig()
@@ -290,9 +288,7 @@ def check_case(
 
     started = time.perf_counter()
     try:
-        result = AnalysisPipeline(program).analyze(
-            _case_options(case, backend, lp_reduce, config)
-        )
+        result = AnalysisPipeline(program).analyze(_case_options(case, config))
     except AnalysisTimeout as exc:
         return CaseOutcome(
             case=case,
@@ -312,16 +308,11 @@ def check_case(
 
 
 def _case_options(
-    case: FuzzCase,
-    backend: str | None = None,
-    lp_reduce: "bool | None" = None,
-    config: "DifferentialConfig | None" = None,
+    case: FuzzCase, config: "DifferentialConfig | None" = None
 ) -> AnalysisOptions:
     return AnalysisOptions(
         moment_degree=case.moment_degree,
         objective_valuations=(case.valuation,),
-        backend=backend,
-        lp_reduce=lp_reduce,
         deadline_seconds=config.deadline_seconds if config is not None else None,
     )
 
@@ -498,18 +489,13 @@ def canonical_program_body_same(a: Stmt, b: Stmt) -> bool:
 
 
 def minimize_case(
-    case: FuzzCase,
-    config: DifferentialConfig,
-    backend: str | None = None,
-    lp_reduce: "bool | None" = None,
+    case: FuzzCase, config: DifferentialConfig
 ) -> tuple[FuzzCase, int]:
     """Greedily shrink a violating case while the violation reproduces.
 
     Returns the smallest reproducing case and the number of candidate
     evaluations spent.  Each accepted reduction restarts the scan, so the
     result is 1-minimal w.r.t. the reduction operators within budget.
-    ``backend`` must be the backend the violation was detected with —
-    backend-specific bugs (warm-start drift) do not reproduce elsewhere.
     Candidate re-analyses inherit ``config.deadline_seconds``, and
     ``config.minimize_seconds`` caps the whole scan, so minimization is
     bounded even on pathological programs.
@@ -534,12 +520,7 @@ def minimize_case(
                 best, source=canonical_program(candidate_program)
             )
             try:
-                outcome = check_case(
-                    candidate,
-                    replace(config, minimize=False),
-                    backend,
-                    lp_reduce,
-                )
+                outcome = check_case(candidate, replace(config, minimize=False))
             except Exception:
                 continue
             if outcome.status == VIOLATION:
@@ -613,10 +594,8 @@ def run_differential(
     config: DifferentialConfig | None = None,
     jobs: int | None = None,
     executor: str = "thread",
-    backend: str | None = None,
     cache: ArtifactCache | None = None,
     out_dir: str | None = None,
-    lp_reduce: "bool | None" = None,
 ) -> DifferentialReport:
     """Differential-check a corpus; see the module docstring.
 
@@ -628,10 +607,7 @@ def run_differential(
     config = config or DifferentialConfig()
     started = time.perf_counter()
     workload = {
-        case.name: (
-            case.parse(),
-            _case_options(case, backend, lp_reduce, config),
-        )
+        case.name: (case.parse(), _case_options(case, config))
         for case in cases
     }
     batch = run_batch(workload, jobs=jobs, executor=executor, cache=cache)
@@ -659,7 +635,7 @@ def run_differential(
         )
         if outcome.status == VIOLATION:
             if config.minimize:
-                minimized, _ = minimize_case(case, config, backend, lp_reduce)
+                minimized, _ = minimize_case(case, config)
                 outcome.minimized = minimized.source
             if out_dir is not None:
                 _dump_violation(outcome, out_dir, config)

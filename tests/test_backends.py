@@ -1,43 +1,48 @@
 """Backend parity and incremental-assembly regression tests.
 
-The two LP backends must be observably interchangeable: identical optimal
-objective values on every registry program (the solutions themselves may
-differ on degenerate optimal faces — that is allowed).  The incremental
-backend must additionally *append* lexicographic stage cuts to its
-persistent model instead of rebuilding it per stage.
+The analyzer's incremental backend must agree with the dense reference
+backend (:class:`ScipyDenseBackend`, reached by patching the pipeline; see
+``_lp_paths``): identical optimal objective values on every registry
+program (the solutions themselves may differ on degenerate optimal faces —
+that is allowed).  The incremental backend must additionally *append*
+lexicographic stage cuts to its persistent model instead of rebuilding it
+per stage, and hand the rows to the dense backend when every HiGHS rung of
+its cascade fails.
 """
 
+import contextlib
 import math
 
+import numpy as np
 import pytest
 
+from _lp_paths import dense_backend, direct_solves
 from repro import AnalysisOptions, AnalysisPipeline, analyze
 from repro.lp.affine import AffBuilder, AffForm
-from repro.lp.backends import (
-    IncrementalBackend,
-    ScipyDenseBackend,
-    available_backends,
-    get_backend,
-    highs_available,
-)
+from repro.lp.backends import IncrementalBackend, ScipyDenseBackend, incremental
 from repro.lp.problem import LPInfeasibleError, LPProblem
-from repro.lp.reduce import reduce_override
 from repro.programs import registry
+
+BACKENDS = {"dense": ScipyDenseBackend, "incremental": IncrementalBackend}
 
 
 def registry_names():
     return sorted(registry.all_benchmarks())
 
 
-def bench_options(name: str, backend: str) -> AnalysisOptions:
+def bench_options(name: str) -> AnalysisOptions:
     bench = registry.get(name)
     return AnalysisOptions(
         moment_degree=2,
         template_degree=bench.template_degree,
         degree_cap=bench.degree_cap,
         objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-        backend=backend,
     )
+
+
+def analyze_dense(name: str):
+    with dense_backend():
+        return analyze(registry.parsed(name), bench_options(name))
 
 
 class TestRegistryParity:
@@ -56,8 +61,8 @@ class TestRegistryParity:
         its optimum is only an upper estimate, and the incremental backend
         is allowed to do strictly better, never worse.
         """
-        dense = analyze(registry.parsed(name), bench_options(name, "dense"))
-        incr = analyze(registry.parsed(name), bench_options(name, "incremental"))
+        dense = analyze_dense(name)
+        incr = analyze(registry.parsed(name), bench_options(name))
         assert len(dense.objective_values) == len(incr.objective_values)
         for stage, (a, b) in enumerate(
             zip(dense.objective_values, incr.objective_values)
@@ -82,8 +87,8 @@ class TestRegistryParity:
 
     @pytest.mark.parametrize("name", ["rdwalk", "geo", "kura-1-1"])
     def test_first_moment_bounds_match(self, name):
-        dense = analyze(registry.parsed(name), bench_options(name, "dense"))
-        incr = analyze(registry.parsed(name), bench_options(name, "incremental"))
+        dense = analyze_dense(name)
+        incr = analyze(registry.parsed(name), bench_options(name))
         d, i = dense.raw_interval(1), incr.raw_interval(1)
         assert d.hi == pytest.approx(i.hi, rel=1e-6, abs=1e-6)
         assert d.lo == pytest.approx(i.lo, rel=1e-6, abs=1e-6)
@@ -104,14 +109,17 @@ class TestFuzzCorpusParity:
 
         return generate_corpus(len(self.CORPUS_SEEDS), seed=0)
 
-    def _analyze(self, case, backend, reduce=None):
+    def _analyze(self, case, dense=False, reduce=True):
         options = AnalysisOptions(
             moment_degree=case.moment_degree,
             objective_valuations=(case.valuation,),
-            backend=backend,
-            lp_reduce=reduce,
         )
-        return analyze(case.parse(), options)
+        with contextlib.ExitStack() as paths:
+            if dense:
+                paths.enter_context(dense_backend())
+            if not reduce:
+                paths.enter_context(direct_solves())
+            return analyze(case.parse(), options)
 
     @pytest.mark.parametrize("reduce", [False, True])
     def test_fuzz_bounds_identical_across_backends(self, corpus, reduce):
@@ -121,10 +129,10 @@ class TestFuzzCorpusParity:
         checked = 0
         for case in corpus:
             try:
-                dense = self._analyze(case, "dense", reduce=reduce)
+                dense = self._analyze(case, dense=True, reduce=reduce)
             except Exception:
                 continue  # infeasible for the analyzer: parity is vacuous
-            incr = self._analyze(case, "incremental", reduce=reduce)
+            incr = self._analyze(case, reduce=reduce)
             for k in range(1, case.moment_degree + 1):
                 d = dense.raw_interval(k, case.valuation)
                 i = incr.raw_interval(k, case.valuation)
@@ -139,15 +147,15 @@ class TestFuzzCorpusParity:
         assert checked >= 8  # most of the corpus must actually be comparable
 
     def test_fuzz_bounds_match_with_reduction_on_and_off(self, corpus):
-        """The kill-switch contract on generated programs: moment intervals
-        through the reduced solve path match the direct backend solves."""
+        """On generated programs, moment intervals through the reduced
+        solve path match the direct backend solves."""
         checked = 0
         for case in corpus:
             try:
-                off = self._analyze(case, None, reduce=False)
+                off = self._analyze(case, reduce=False)
             except Exception:
                 continue
-            on = self._analyze(case, None, reduce=True)
+            on = self._analyze(case)
             for k in range(1, case.moment_degree + 1):
                 a = off.raw_interval(k, case.valuation)
                 b = on.raw_interval(k, case.valuation)
@@ -164,10 +172,10 @@ class TestFuzzCorpusParity:
     def test_fuzz_bounds_stable_under_repeated_incremental_use(self, corpus):
         """Re-analyzing the same program through a *fresh* incremental
         backend must reproduce the first run bit-for-bit (no hidden state
-        leaks through the module-level backend registry)."""
+        leaks between backend instances)."""
         case = corpus[0]
-        first = self._analyze(case, "incremental")
-        second = self._analyze(case, "incremental")
+        first = self._analyze(case)
+        second = self._analyze(case)
         for k in range(1, case.moment_degree + 1):
             a = first.raw_interval(k, case.valuation)
             b = second.raw_interval(k, case.valuation)
@@ -175,20 +183,15 @@ class TestFuzzCorpusParity:
 
 
 class TestIncrementalAssembly:
-    @pytest.mark.skipif(
-        not highs_available(),
-        reason="warm-start counters require a live HiGHS model "
-        "(without one, solves route through _fallback_dense)",
-    )
     def test_lexicographic_cuts_are_appended_not_rebuilt(self):
         """The regression this backend exists for: across the lexicographic
         stages of one analysis, the HiGHS model is built exactly once and
         each stage cut arrives via addRows on the persistent model.  (The
-        reduction layer is forced off — it routes the solves to per-block
+        reduction layer is bypassed — it routes the solves to per-block
         backend instances; the reduced counterpart is tested below.)"""
         pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        options = AnalysisOptions(moment_degree=3, backend="incremental")
-        with reduce_override(False):
+        options = AnalysisOptions(moment_degree=3)
+        with direct_solves():
             pipe.analyze(options)
         stats = pipe.constraint_system(options).lp.backend.stats
         assert stats.solves == 3  # one per moment stage
@@ -202,9 +205,8 @@ class TestIncrementalAssembly:
         the live per-block models via addRows — no block is ever merged or
         rebuilt by the stage loop."""
         pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        options = AnalysisOptions(moment_degree=3, backend="incremental")
-        with reduce_override(True):
-            pipe.analyze(options)
+        options = AnalysisOptions(moment_degree=3)
+        pipe.analyze(options)
         reducer = pipe.constraint_system(options).lp._reducer
         assert reducer is not None and reducer.last_was_reduced
         assert reducer.block_merges == 0
@@ -213,9 +215,9 @@ class TestIncrementalAssembly:
         assert pipe.constraint_system(options).lp.backend.stats.solves == 0
 
     def test_dense_backend_rebuilds_per_stage(self):
-        pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        options = AnalysisOptions(moment_degree=3, backend="dense")
-        with reduce_override(False):
+        options = AnalysisOptions(moment_degree=3)
+        with dense_backend(), direct_solves():
+            pipe = AnalysisPipeline(registry.parsed("rdwalk"))
             pipe.analyze(options)
         stats = pipe.constraint_system(options).lp.backend.stats
         assert stats.model_builds == stats.solves == 3
@@ -225,26 +227,25 @@ class TestIncrementalAssembly:
         """Rows appended after the reduction snapshot (the lexicographic
         cuts) are projected onto the live blocks; rolling them back must
         restore the pristine partition and reproduce the original optimum."""
-        lp = LPProblem(backend=get_backend(backend))
+        lp = LPProblem(backend=BACKENDS[backend]())
         x, y = lp.fresh("x"), lp.fresh("y")
         lam = lp.fresh_nonneg("lam")
         lp.add_ge(AffForm.of_var(x) - 3.0)
         lp.add_ge(AffForm.of_var(y) - 1.0)
         lp.add_eq(AffForm.of_var(lam) - 2.0)
-        with reduce_override(True):
-            first = lp.solve(AffForm.of_var(x) + AffForm.of_var(y))
-            assert first.objective == pytest.approx(4.0)
-            assert first.value_of(lam) == pytest.approx(2.0)
-            cp = lp.checkpoint()
-            # A cut that spans both blocks (x and y live in separate
-            # components) forces a block merge on the reduced path.
-            lp.add_ge(AffForm.of_var(x) + AffForm.of_var(y) - 10.0)
-            cut = lp.solve(AffForm.of_var(x) + AffForm.of_var(y))
-            assert cut.objective == pytest.approx(10.0)
-            lp.rollback(cp)
-            again = lp.solve(AffForm.of_var(x) + AffForm.of_var(y))
-            assert again.objective == pytest.approx(4.0)
-            assert again.value_of(lam) == pytest.approx(2.0)
+        first = lp.solve(AffForm.of_var(x) + AffForm.of_var(y))
+        assert first.objective == pytest.approx(4.0)
+        assert first.value_of(lam) == pytest.approx(2.0)
+        cp = lp.checkpoint()
+        # A cut that spans both blocks (x and y live in separate
+        # components) forces a block merge on the reduced path.
+        lp.add_ge(AffForm.of_var(x) + AffForm.of_var(y) - 10.0)
+        cut = lp.solve(AffForm.of_var(x) + AffForm.of_var(y))
+        assert cut.objective == pytest.approx(10.0)
+        lp.rollback(cp)
+        again = lp.solve(AffForm.of_var(x) + AffForm.of_var(y))
+        assert again.objective == pytest.approx(4.0)
+        assert again.value_of(lam) == pytest.approx(2.0)
 
     def test_pipeline_rollback_keeps_cached_system_resolvable_reduced(self):
         """Re-solving one cached constraint system under different
@@ -255,12 +256,11 @@ class TestIncrementalAssembly:
         other = AnalysisOptions(
             moment_degree=2, objective_valuations=({"d": 7.0, "x": 0.0},)
         )
-        with reduce_override(True):
-            shared = AnalysisPipeline(program)
-            first = shared.analyze(options)
-            second = shared.analyze(other)
-            fresh_first = AnalysisPipeline(program).analyze(options)
-            fresh_second = AnalysisPipeline(program).analyze(other)
+        shared = AnalysisPipeline(program)
+        first = shared.analyze(options)
+        second = shared.analyze(other)
+        fresh_first = AnalysisPipeline(program).analyze(options)
+        fresh_second = AnalysisPipeline(program).analyze(other)
         for k in (1, 2):
             assert first.raw_interval(k).hi == pytest.approx(
                 fresh_first.raw_interval(k).hi, rel=1e-9, abs=1e-9
@@ -282,10 +282,6 @@ class TestIncrementalAssembly:
         assert lp.num_constraints == 1
         assert lp.solve(AffForm.of_var(x)).objective == pytest.approx(3.0)
 
-    @pytest.mark.skipif(
-        not highs_available(),
-        reason="model rebuild counters require a live HiGHS model",
-    )
     def test_solve_after_adding_variables_rebuilds(self):
         lp = LPProblem(backend=IncrementalBackend())
         x = lp.fresh("x")
@@ -313,19 +309,55 @@ class TestIncrementalAssembly:
         assert solution.value_of(y) == pytest.approx(2.0)
 
 
+class _NeverOptimal:
+    """A HiGHS handle whose every run ends in ``kUnknown``."""
+
+    def __init__(self, highs):
+        self._highs = highs
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getModelStatus(self):
+        return incremental._hs.HighsModelStatus.kUnknown
+
+
+class TestDenseLastRung:
+    def _problem(self, backend):
+        lp = LPProblem(backend=backend)
+        x, y = lp.fresh("x"), lp.fresh("y")
+        lam = lp.fresh_nonneg("lam")
+        lp.add_ge(AffForm.of_var(x) + AffForm.of_var(y) - 3.0)
+        lp.add_eq(AffForm.of_var(x) - AffForm.of_var(y) - 1.0)
+        lp.add_ge(AffForm.of_var(lam) - AffForm.of_var(x))
+        return lp, AffForm.of_var(x) + AffForm.of_var(y) + AffForm.of_var(lam)
+
+    def test_failed_highs_rungs_fall_back_to_the_dense_backend(self, monkeypatch):
+        """When every HiGHS rung of the cascade ends non-optimal, the last
+        rung hands the rows to :class:`ScipyDenseBackend` and returns its
+        optimum."""
+        dense, objective = self._problem(ScipyDenseBackend())
+        want = dense.solve(objective, reduce=False)
+        monkeypatch.setattr(
+            incremental, "_new_highs",
+            lambda new=incremental._new_highs: _NeverOptimal(new()),
+        )
+        lp, objective = self._problem(IncrementalBackend())
+        got = lp.solve(objective, reduce=False)
+        assert lp.backend.stats.fallbacks == 1
+        assert lp.backend.stats.solves == 1
+        assert (got.objective, got.status) == (want.objective, want.status)
+        assert got.objective == pytest.approx(5.0)  # x=2, y=1, lam=2
+        np.testing.assert_array_equal(got.values, want.values)
+
+
 class TestBackendRegistry:
     def test_default_is_incremental_when_highs_present(self):
-        backend = get_backend()
-        if highs_available():
-            assert isinstance(backend, IncrementalBackend)
-        else:  # pragma: no cover - scipy without bundled highspy
-            assert isinstance(backend, ScipyDenseBackend)
-
-    def test_aliases_and_unknown_names(self):
-        assert isinstance(get_backend("dense"), ScipyDenseBackend)
-        assert "incremental" in available_backends()
-        with pytest.raises(ValueError, match="unknown LP backend"):
-            get_backend("simplex-by-hand")
+        assert isinstance(LPProblem().backend, IncrementalBackend)
+        system = AnalysisPipeline(registry.parsed("rdwalk")).constraint_system(
+            AnalysisOptions(moment_degree=1)
+        )
+        assert isinstance(system.lp.backend, IncrementalBackend)
 
 
 class TestInfeasibilityDiagnostics:
@@ -336,7 +368,7 @@ class TestInfeasibilityDiagnostics:
 
     @pytest.mark.parametrize("backend", ["dense", "incremental"])
     def test_solver_infeasibility_reports_noted_groups(self, backend):
-        lp = LPProblem(backend=get_backend(backend))
+        lp = LPProblem(backend=BACKENDS[backend]())
         x = lp.fresh("x")
         lp.add_ge(AffForm.of_var(x) - 3.0, note="lower.bound[x]")
         lp.add_le(AffForm.of_var(x) - 2.0, note="upper.bound[x]")

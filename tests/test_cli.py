@@ -54,27 +54,18 @@ class TestCli:
         assert "E[C^1]" in text  # bounds still printed after the profile
         # LP reduction presolve statistics ride along with the solve stage.
         assert "lp reduction:" in text
-        from repro.lp.reduce import reduce_enabled
+        assert "columns eliminated:" in text
+        assert "components:" in text
 
-        if reduce_enabled():  # the reduce-off CI leg prints the off notice
-            assert "columns eliminated:" in text
-            assert "components:" in text
-        else:
-            assert "lp reduction: off" in text
-
-    def test_no_lp_reduce_flag_bypasses_reduction(self, source_file):
-        out = io.StringIO()
-        code = run(
-            [
-                "analyze", source_file, "--at", "d=10,x=0,t=0",
-                "--no-lp-reduce", "--profile", "3",
-            ],
-            out=out,
-        )
-        text = out.getvalue()
-        assert code == 0
-        assert "lp reduction: off" in text
-        assert "E[C^1]" in text
+    def test_lp_path_flags_are_argparse_errors(self, capsys):
+        """No flag selects the LP backend or bypasses the reduction layer."""
+        for argv in (["analyze", "prog.appl"], ["batch"], ["fuzz"]):
+            for flag in ("--backend=dense", "--no-lp-reduce"):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args(argv + [flag])
+                assert excinfo.value.code == 2
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: {flag}" in err
 
     def test_soundness_flag(self, source_file):
         out = io.StringIO()
@@ -120,7 +111,7 @@ class TestCli:
         out = io.StringIO()
         code = run(
             ["fuzz", "--seed", "10", "--count", "2", "--samples", "400",
-             "--jobs", "2", "--executor", "thread", "--backend", "dense",
+             "--jobs", "2", "--executor", "thread",
              "--cache-dir", str(tmp_path / "cache"),
              "--out", str(tmp_path / "violations")],
             out=out,

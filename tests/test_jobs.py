@@ -9,6 +9,7 @@ CLI surface.
 
 import io
 import json
+import re
 import threading
 import time
 import urllib.error
@@ -93,7 +94,7 @@ class TestPayloads:
                 lexicographic=False,
                 lp_bound=1e9,
             ),
-            AnalysisOptions(backend="incremental", lp_reduce=False),
+            AnalysisOptions(check_soundness=True, deadline_seconds=2.5, degrade=True),
         ]
         for options in cases:
             back = options_from_dict(options_to_dict(options))
@@ -504,20 +505,24 @@ class TestJobEndpoints:
             server.server_close()
 
     def test_unknown_backend_is_a_400(self, tmp_path):
-        """An unknown LP backend name is a client error, rejected while the
-        request is validated: not a 422 from the analysis, and not a job
-        that burns its retries in a worker."""
-        with pytest.raises(RequestError, match="unknown LP backend"):
-            analyze_payload(SIMPLE, {"backend": "simplex"})
+        """``backend`` and ``lp_reduce`` are no longer options: like any
+        unknown option they are a client error naming the key, rejected
+        while the request is validated — not a 422 from the analysis, and
+        not a job that burns its retries in a worker."""
+        for option in ({"backend": "incremental"}, {"lp_reduce": True}):
+            expected = re.escape(f"unknown options {list(option)}")
+            with pytest.raises(RequestError, match=expected):
+                analyze_payload(SIMPLE, option)
         server = make_server(port=0, store=JobStore(tmp_path / "jobs.sqlite3"))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            body = {"program": SIMPLE, "options": {"backend": "simplex"}}
-            for path in ("/analyze", "/jobs"):
-                status, doc = _post(server, path, body)
-                assert status == 400, (path, doc)
-                assert "unknown LP backend" in doc["error"]
+            for option in ({"backend": "incremental"}, {"lp_reduce": False}):
+                body = {"program": SIMPLE, "options": option}
+                for path in ("/analyze", "/jobs"):
+                    status, doc = _post(server, path, body)
+                    assert status == 400, (path, doc)
+                    assert f"unknown options {list(option)}" in doc["error"]
         finally:
             server.shutdown()
             server.server_close()

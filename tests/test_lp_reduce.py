@@ -6,13 +6,12 @@ Three levels of coverage:
   and implied-slack column elimination, duplicate/vacuous row dropping,
   zero columns, infeasibility detection, the block decomposition with
   full-space value recovery, and same-shape block stacking;
-* the kill-switch contract — ``REPRO_DISABLE_LP_REDUCE`` /
-  ``reduce_override`` route solves to the direct backend, and
-  ``AnalysisOptions.lp_reduce`` is honored per analysis (including in the
-  solve-stage cache key);
-* registry-wide parity — resolved moment bounds with the reduction on and
-  off agree to solver tolerance on every registry program (the fuzz-corpus
-  counterpart lives in ``tests/test_backends.py``).
+* the ``reduce`` argument of :meth:`LPProblem.solve` — on by default,
+  ``reduce=False`` routes a solve to the direct backend;
+* registry-wide parity — resolved moment bounds through the reduction and
+  through direct solves (the oracle, reached by patching; see
+  ``_lp_paths``) agree to solver tolerance on every registry program (the
+  fuzz-corpus counterpart lives in ``tests/test_backends.py``).
 """
 
 import math
@@ -20,15 +19,11 @@ import math
 import numpy as np
 import pytest
 
+from _lp_paths import direct_solves
 from repro import AnalysisOptions, AnalysisPipeline, analyze
 from repro.lp.affine import AffForm
 from repro.lp.problem import LPInfeasibleError, LPProblem
-from repro.lp.reduce import (
-    ReducedSolver,
-    reduce_enabled,
-    reduce_override,
-    set_reduce_enabled,
-)
+from repro.lp.reduce import ReducedSolver
 from repro.programs import registry
 
 
@@ -37,38 +32,24 @@ def build_problem():
 
 
 class TestSwitch:
-    def test_override_restores_previous_state(self):
-        before = reduce_enabled()
-        with reduce_override(not before):
-            assert reduce_enabled() is (not before)
-        assert reduce_enabled() is before
-
-    def test_set_returns_previous(self):
-        before = set_reduce_enabled(False)
-        try:
-            assert reduce_enabled() is False
-        finally:
-            set_reduce_enabled(before)
-
     def test_disabled_solve_uses_backend_directly(self):
         lp = build_problem()
         x = lp.fresh("x")
         lp.add_ge(AffForm.of_var(x) - 2.0)
-        with reduce_override(False):
-            solution = lp.solve(AffForm.of_var(x))
+        solution = lp.solve(AffForm.of_var(x), reduce=False)
         assert solution.objective == pytest.approx(2.0)
         assert lp._reducer is None  # never attached
         assert lp.backend.stats.solves == 1
 
-    def test_explicit_reduce_argument_wins_over_switch(self):
+    def test_default_solve_goes_through_the_reducer(self):
         lp = build_problem()
         x = lp.fresh("x")
         lp.add_ge(AffForm.of_var(x) - 2.0)
-        with reduce_override(False):
-            solution = lp.solve(AffForm.of_var(x), reduce=True)
+        solution = lp.solve(AffForm.of_var(x))
         assert solution.objective == pytest.approx(2.0)
         assert lp._reducer is not None
         assert lp.reduction_stats() is not None
+        assert lp.backend.stats.solves == 0  # the block models solved it
 
 
 class TestPresolveRules:
@@ -367,12 +348,9 @@ class TestRegistryParity:
             degree_cap=bench.degree_cap,
             objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
         )
-        off = analyze(
-            registry.parsed(name), AnalysisOptions(lp_reduce=False, **options)
-        )
-        on = analyze(
-            registry.parsed(name), AnalysisOptions(lp_reduce=True, **options)
-        )
+        with direct_solves():
+            off = analyze(registry.parsed(name), AnalysisOptions(**options))
+        on = analyze(registry.parsed(name), AnalysisOptions(**options))
         assert len(off.objective_values) == len(on.objective_values)
         for stage, (a, b) in enumerate(
             zip(off.objective_values, on.objective_values)
@@ -446,12 +424,9 @@ class TestRegistryParity:
             degree_cap=bench.degree_cap,
             objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
         )
-        off = analyze(
-            registry.parsed(name), AnalysisOptions(lp_reduce=False, **options)
-        )
-        on = analyze(
-            registry.parsed(name), AnalysisOptions(lp_reduce=True, **options)
-        )
+        with direct_solves():
+            off = analyze(registry.parsed(name), AnalysisOptions(**options))
+        on = analyze(registry.parsed(name), AnalysisOptions(**options))
         for k in (1, 2):
             a, b = off.raw_interval(k), on.raw_interval(k)
             scale = max(1.0, abs(a.lo), abs(a.hi))
@@ -466,9 +441,15 @@ class TestRegistryParity:
         """A reduce-off lexicographic analyze after a reduce-on one, on the
         same cached constraint system, must solve cleanly and must not
         inherit the reduced run's stats (review findings)."""
+        options = AnalysisOptions(moment_degree=2)
         pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        on = pipe.analyze(AnalysisOptions(moment_degree=2, lp_reduce=True))
-        off = pipe.analyze(AnalysisOptions(moment_degree=2, lp_reduce=False))
+        on = pipe.analyze(options)
+        # The cache keys do not name the solve path: drop the cached
+        # solution and result, keep the derived constraint system.
+        pipe._solutions.clear()
+        pipe._results.clear()
+        with direct_solves():
+            off = pipe.analyze(options)
         assert on.lp_reduction is not None
         assert off.lp_reduction is None
         for k in (1, 2):
@@ -477,9 +458,7 @@ class TestRegistryParity:
             assert abs(a.hi - b.hi) <= 1e-3 * scale  # within cut bands
 
     def test_reduction_stats_reach_the_result(self):
-        result = analyze(
-            registry.parsed("rdwalk"), AnalysisOptions(lp_reduce=True)
-        )
+        result = analyze(registry.parsed("rdwalk"), AnalysisOptions())
         stats = result.lp_reduction
         assert stats is not None
         assert stats["cols"] == result.lp_variables
@@ -487,20 +466,9 @@ class TestRegistryParity:
         assert stats["components"] >= 1
         assert result.stage_tolerances[-1] == 0.0
         assert result.stage_tolerances[0] > 0.0  # stage 1 pinned for stage 2
-        off = analyze(
-            registry.parsed("rdwalk"), AnalysisOptions(lp_reduce=False)
-        )
+        with direct_solves():
+            off = analyze(registry.parsed("rdwalk"), AnalysisOptions())
         assert off.lp_reduction is None
-
-    def test_lp_reduce_is_part_of_the_solve_key(self):
-        on = AnalysisOptions(lp_reduce=True)
-        off = AnalysisOptions(lp_reduce=False)
-        assert on.solve_key([{}]) != off.solve_key([{}])
-        follow = AnalysisOptions()
-        with reduce_override(True):
-            assert follow.solve_key([{}]) == on.solve_key([{}])
-        with reduce_override(False):
-            assert follow.solve_key([{}]) == off.solve_key([{}])
 
 
 class TestOverlaySemantics:

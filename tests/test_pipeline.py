@@ -171,7 +171,7 @@ class TestSolverMetadata:
         """The staged artifact carries the reduction mapping stats, so a
         cache-hitting re-analysis reports the same reduction shape."""
         pipe = AnalysisPipeline(parse_program(RDWALK))
-        options = AnalysisOptions(moment_degree=2, lp_reduce=True)
+        options = AnalysisOptions(moment_degree=2)
         first = pipe.analyze(options)
         again = pipe.analyze(options)
         assert first.lp_reduction is not None

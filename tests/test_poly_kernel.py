@@ -46,7 +46,7 @@ from repro.logic.handelman import (
 from repro.logic.context import Context
 from repro.logic.linear import LinExpr, LinIneq
 from repro.lp.affine import AffForm
-from repro.lp.backends import get_backend
+from repro.lp.backends import ScipyDenseBackend
 from repro.lp.backends.base import EQ, GE
 from repro.lp.core import LPInfeasibleError
 from repro.lp.problem import LPProblem
@@ -280,7 +280,7 @@ class TestPlans:
     def test_substitution_plan_on_templates(self):
         rng = np.random.default_rng(41)
         for _ in range(60):
-            lp = LPProblem(backend=get_backend("dense"))
+            lp = LPProblem(backend=ScipyDenseBackend())
             p = random_template(rng, lp)
             repl = random_poly(rng, max_terms=3, max_exp=2)
             var = VARS[int(rng.integers(0, len(VARS)))]
@@ -293,7 +293,7 @@ class TestPlans:
         rng = np.random.default_rng(43)
         moments = {k: (2.0 ** -k) * 3 for k in range(1, 16)}
         for _ in range(60):
-            lp = LPProblem(backend=get_backend("dense"))
+            lp = LPProblem(backend=ScipyDenseBackend())
             p = random_template(rng, lp)
             var = VARS[int(rng.integers(0, len(VARS)))]
             got = ExpectationPlan(var, moments.__getitem__).apply(p)
@@ -320,7 +320,7 @@ class TestPlans:
         re-inserts its monomial last — for floats and templates alike."""
         x, y, z = (Monomial.of(v) for v in "xyz")
         y2 = Monomial.of("y", 2)
-        lp = LPProblem(backend=get_backend("dense"))
+        lp = LPProblem(backend=ScipyDenseBackend())
         t, w = (AffForm.of_var(lp.fresh(n)) for n in ("t", "w"))
         # y -> x + 1: the y term cancels the x term, y^2 brings x back.
         concrete = Polynomial.from_terms([(x, 1.0), (y, -1.0), (z, 2.0), (y2, 3.0)])
@@ -335,7 +335,7 @@ class TestPlans:
         """prefix_cost / prob_mix / oplus_all vs their chained references."""
         rng = np.random.default_rng(47)
         for _ in range(30):
-            lp = LPProblem(backend=get_backend("dense"))
+            lp = LPProblem(backend=ScipyDenseBackend())
             a, b = random_annotation(rng, lp), random_annotation(rng, lp)
             cost = int(rng.integers(-8, 9)) / 4.0
             prob = int(rng.integers(0, 17)) / 16.0
@@ -363,7 +363,7 @@ def _ctx(*pairs) -> Context:
 def _lp_fingerprint(lp: LPProblem):
     # The dense backend stores (terms dict, const) per row; listing the
     # items preserves insertion order, so this captures the exact layout the
-    # solver would see — and works on every CI leg (no HiGHS required).
+    # solver would see.
     rows = lp.backend._rows
     return (
         [v.name for v in lp.pool.variables],
@@ -412,7 +412,7 @@ class TestEmissionParity:
             fingerprints = []
             for emit in (emit_nonneg_certificate, reference_emission):
                 clear_certificate_caches()
-                lp = LPProblem(backend=get_backend("dense"))
+                lp = LPProblem(backend=ScipyDenseBackend())
                 template_rng = np.random.default_rng(1000 + trial)
                 poly = random_template(template_rng, lp)
                 minus = random_template(template_rng, lp)
@@ -506,7 +506,7 @@ class TestAnalyzerParity:
     def test_fuzz_corpus_bounds_identical(self, derive_both):
         for case in generate_corpus(8, seed=0):
             production, reference = derive_both(
-                case.parse(), AnalysisOptions(moment_degree=2, backend="dense")
+                case.parse(), AnalysisOptions(moment_degree=2)
             )
             assert production == reference, f"fuzz seed {case.seed}"
 
@@ -520,7 +520,6 @@ class TestAnalyzerParity:
                 moment_degree=bench.moment_degree,
                 template_degree=bench.template_degree,
                 degree_cap=bench.degree_cap,
-                backend="dense",
             )
             production, reference = derive_both(registry.parsed(name), options)
             assert production == reference, f"registry {name!r}"
@@ -529,6 +528,6 @@ class TestAnalyzerParity:
     def test_synthetic_m4_bounds_identical(self, derive_both):
         for program in (coupon_chain(3), rdwalk_chain(1)):
             production, reference = derive_both(
-                program, AnalysisOptions(moment_degree=4, backend="dense")
+                program, AnalysisOptions(moment_degree=4)
             )
             assert production == reference

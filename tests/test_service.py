@@ -358,6 +358,21 @@ def _post(server, path: str, body: dict):
         return error.code, error.read(), dict(error.headers)
 
 
+def _post_bad_content_length(server):
+    """POST /analyze with a non-integer Content-Length header (no body)."""
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+    try:
+        conn.putrequest("POST", "/analyze")
+        conn.putheader("Content-Length", "ten")
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
 def _get(server, path: str):
     port = server.server_address[1]
     try:
@@ -458,7 +473,7 @@ class TestServer:
         server, cache = served
         status, health = _get(server, "/health")
         assert status == 200 and health["status"] == "ok"
-        assert "incremental" in health["backends"]
+        assert "backends" not in health and "highs" not in health
         _post(server, "/analyze", {"program": SIMPLE, "options": {"moments": 1}})
         status, stats = _get(server, "/cache/stats")
         assert status == 200 and stats["enabled"]
@@ -500,6 +515,18 @@ class TestServer:
         status, raw, _ = _post(server, "/analyze", {"program": SIMPLE,
                                                     "options": {"bogus": 1}})
         assert status == 400 and "bogus" in json.loads(raw)["error"]
+        # Flags are JSON booleans and degrees JSON integers; nothing is
+        # coerced ("false" would otherwise run an upper-only analysis).
+        for options, key in (
+            ({"upper_only": "false"}, "upper_only"),
+            ({"moments": 2.9}, "moments"),
+        ):
+            status, raw, _ = _post(
+                server, "/analyze", {"program": SIMPLE, "options": options}
+            )
+            assert status == 400 and key in json.loads(raw)["error"], raw
+        status, raw = _post_bad_content_length(server)
+        assert status == 400 and "Content-Length" in json.loads(raw)["error"]
         status, raw, _ = _post(server, "/analyze", {"program": BROKEN})
         assert status == 422 and "ValidationError" in json.loads(raw)["error"]
         status, _ = _get(server, "/nope")
