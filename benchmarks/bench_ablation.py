@@ -1,4 +1,4 @@
-"""Ablations for the design choices called out in DESIGN.md section 5.
+"""Ablations of four design choices of the analyzer:
 
 * lexicographic vs. single-blob objective,
 * template degree (linear templates cannot certify quadratic behaviour),

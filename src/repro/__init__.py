@@ -29,82 +29,54 @@ Quickstart::
     print(result.variance({"d": 10, "x": 0, "t": 0}))
 """
 
-from repro.analysis.pipeline import (
-    AnalysisOptions,
-    AnalysisPipeline,
-    analyze,
-    analyze_many,
-    analyze_upper_raw,
-)
-from repro.analysis.results import MomentBoundResult
-from repro.analysis.transformer import AnalysisError
-from repro.interp.mc import (
-    CostStatistics,
-    estimate_cost_statistics,
-    simulate_costs,
-    statistics_from_costs,
-)
-from repro.interp.vectorized import BatchRunResult, VectorizedMachine
-from repro.lang.parser import parse_program
-from repro.lp.problem import LPError, LPInfeasibleError
-from repro.rings.interval import Interval
-from repro.rings.moment import MomentVector, raw_to_central, variance_interval
-from repro.programs.fuzz import FuzzCase, FuzzConfig, generate_case, generate_corpus
-from repro.service import ArtifactCache, BatchReport, run_batch
-from repro.soundness.checker import SoundnessReport, check_soundness
-from repro.soundness.differential import (
-    DifferentialConfig,
-    DifferentialReport,
-    check_case,
-    run_differential,
-)
-from repro.tail.bounds import (
-    best_upper_tail,
-    cantelli_upper_tail,
-    chebyshev_tail,
-    markov_tail,
-    tail_curve,
-)
+from repro.lazy import lazy_exports
+
+#: Public name -> the module that defines it, imported on first access:
+#: ``import repro`` loads none of them, so a one-shot ``repro analyze``
+#: never pays for the service, soundness, fuzz or vectorized-MC modules.
+_EXPORTS = {
+    "AnalysisOptions": "repro.analysis.pipeline",
+    "AnalysisPipeline": "repro.analysis.pipeline",
+    "analyze": "repro.analysis.pipeline",
+    "analyze_many": "repro.analysis.pipeline",
+    "analyze_upper_raw": "repro.analysis.pipeline",
+    "MomentBoundResult": "repro.analysis.results",
+    "AnalysisError": "repro.analysis.transformer",
+    "CostStatistics": "repro.interp.mc",
+    "estimate_cost_statistics": "repro.interp.mc",
+    "simulate_costs": "repro.interp.mc",
+    "statistics_from_costs": "repro.interp.mc",
+    "BatchRunResult": "repro.interp.vectorized",
+    "VectorizedMachine": "repro.interp.vectorized",
+    "parse_program": "repro.lang.parser",
+    "LPError": "repro.lp.problem",
+    "LPInfeasibleError": "repro.lp.problem",
+    "Interval": "repro.rings.interval",
+    "MomentVector": "repro.rings.moment",
+    "raw_to_central": "repro.rings.moment",
+    "variance_interval": "repro.rings.moment",
+    "FuzzCase": "repro.programs.fuzz",
+    "FuzzConfig": "repro.programs.fuzz",
+    "generate_case": "repro.programs.fuzz",
+    "generate_corpus": "repro.programs.fuzz",
+    "ArtifactCache": "repro.service",
+    "BatchReport": "repro.service",
+    "run_batch": "repro.service",
+    "SoundnessReport": "repro.soundness.checker",
+    "check_soundness": "repro.soundness.checker",
+    "DifferentialConfig": "repro.soundness.differential",
+    "DifferentialReport": "repro.soundness.differential",
+    "check_case": "repro.soundness.differential",
+    "run_differential": "repro.soundness.differential",
+    "best_upper_tail": "repro.tail.bounds",
+    "cantelli_upper_tail": "repro.tail.bounds",
+    "chebyshev_tail": "repro.tail.bounds",
+    "markov_tail": "repro.tail.bounds",
+    "tail_curve": "repro.tail.bounds",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalysisError",
-    "AnalysisOptions",
-    "AnalysisPipeline",
-    "ArtifactCache",
-    "BatchReport",
-    "BatchRunResult",
-    "CostStatistics",
-    "DifferentialConfig",
-    "DifferentialReport",
-    "FuzzCase",
-    "FuzzConfig",
-    "Interval",
-    "LPError",
-    "LPInfeasibleError",
-    "MomentBoundResult",
-    "MomentVector",
-    "SoundnessReport",
-    "VectorizedMachine",
-    "analyze",
-    "analyze_many",
-    "analyze_upper_raw",
-    "best_upper_tail",
-    "cantelli_upper_tail",
-    "chebyshev_tail",
-    "check_case",
-    "check_soundness",
-    "estimate_cost_statistics",
-    "generate_case",
-    "generate_corpus",
-    "markov_tail",
-    "parse_program",
-    "raw_to_central",
-    "run_batch",
-    "run_differential",
-    "simulate_costs",
-    "statistics_from_costs",
-    "tail_curve",
-    "variance_interval",
-]
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.analysis.annotations import MomentAnnotation
 from repro.analysis.results import (
@@ -67,6 +66,7 @@ from repro.logic.absint import ContextMap, compute_contexts
 from repro.logic.context import Context
 from repro.lp.affine import AffForm
 from repro.lp.backends import IncrementalBackend
+from repro.lp.backends.highs_core import scipy_highs_core
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 from repro.lp.problem import LPProblem
 
@@ -643,32 +643,54 @@ def _feasible_point(ctx: Context) -> dict[str, float]:
     """A strictly interior point of the pre-condition polyhedron.
 
     Maximizes the minimum slack (Chebyshev-style) within a +/-100 box, so the
-    objective is evaluated away from degenerate boundary points.
+    objective is evaluated away from degenerate boundary points.  The LP
+    goes to scipy's bundled HiGHS ``_core``, even when ``highspy`` is
+    installed, in the form and with the options that ``scipy.optimize``'s
+    own ``method="highs"`` wrapper passes: a column-wise matrix without
+    explicit zeros, infinite bounds as ``kHighsInf``, the dual simplex.  So
+    the point is the one scipy's LP solver returns.
     """
     variables = sorted(ctx.variables())
     if not variables or ctx.bottom:
         return {v: 1.0 for v in variables}
+    hs = scipy_highs_core()
     index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
-    # max t  s.t.  g_i(x) >= t,  |x| <= 100,  t <= 10
-    cost = np.zeros(n + 1)
-    cost[n] = -1.0
-    rows = []
-    rhs = []
-    for g in ctx.ineqs:
-        row = np.zeros(n + 1)
+    n, m = len(variables), len(ctx.ineqs)
+    # max t  s.t.  g_i(x) >= t,  |x| <= 100,  t <= 10;  rows -g_i.x + t <= g_i.const
+    a_ub = np.zeros((m, n + 1))
+    a_ub[:, n] = 1.0
+    b_ub = np.zeros(m)
+    for row, g in enumerate(ctx.ineqs):
         for v, c in g.expr.coeffs:
-            row[index[v]] = -c
-        row[n] = 1.0
-        rows.append(row)
-        rhs.append(g.expr.const)
-    bounds = [(-100.0, 100.0)] * n + [(None, 10.0)]
-    result = linprog(
-        cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs"
-    )
-    if not result.success:
+            a_ub[row, index[v]] = -c
+        b_ub[row] = g.expr.const
+    cols, rows = np.nonzero(a_ub.T)  # column-major, zeros dropped
+    lp = hs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n + 1
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
+    lp.col_cost_ = np.append(np.zeros(n), -1.0)
+    lp.col_lower_ = np.append(np.full(n, -100.0), -hs.kHighsInf)
+    lp.col_upper_ = np.append(np.full(n, 100.0), 10.0)
+    lp.row_lower_ = np.full(m, -hs.kHighsInf)
+    lp.row_upper_ = b_ub
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n + 2)).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = a_ub[rows, cols]
+    options = hs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = hs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = hs._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    if highs.getModelStatus() != hs.HighsModelStatus.kOptimal:
         return {v: 1.0 for v in variables}
-    return {v: float(result.x[index[v]]) for v in variables}
+    x = highs.getSolution().col_value
+    return {v: float(x[index[v]]) for v in variables}
 
 
 #: Template-restart ladder: progressively tighter template-coefficient boxes

@@ -12,7 +12,7 @@ the *same* function is valid by the relaxation lemma (Lemma F.2), and rule
 post-annotation.
 
 This realizes Example 2.6's "elimination sequence" with one spec template
-per level and interval slack; see DESIGN.md section 5 for the trade-off.
+per level and interval slack.
 """
 
 from __future__ import annotations

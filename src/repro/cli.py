@@ -67,13 +67,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro import (
-    AnalysisOptions,
-    AnalysisPipeline,
-    check_soundness,
-    estimate_cost_statistics,
-    parse_program,
-)
+from repro import AnalysisOptions, AnalysisPipeline, parse_program
 from repro.deadline import AnalysisTimeout
 
 
@@ -544,10 +538,14 @@ def _run_analyze(args, out) -> int:
     print(result.summary(), file=out)
 
     if args.check:
+        from repro.soundness.checker import check_soundness
+
         report = check_soundness(program, args.moments * args.degree)
         print(report.summary(), file=out)
 
     if args.simulate:
+        from repro.interp.mc import estimate_cost_statistics
+
         stats = estimate_cost_statistics(
             program, n=args.simulate, seed=0, initial=args.at or None,
             degree=max(2, args.moments), engine="vectorized",

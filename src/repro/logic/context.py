@@ -8,10 +8,12 @@ the operations the derivation system and abstract interpreter need:
 * sampling (havoc + support bounds),
 * havoc for function calls,
 * join at control-flow merges (mutual-entailment filtering),
-* entailment queries (Farkas/LP, exact over the reals).
+* entailment and feasibility queries, decided exactly in rational
+  arithmetic by :mod:`repro.logic.entail` (no float tolerance).
 
-This stands in for APRON in the paper's implementation; see DESIGN.md
-section 2 for why the substitution is behaviour-preserving.
+It stands in for the APRON polyhedra of the paper's implementation.  A join
+keeps only the constraints each side entails, which is coarser than the
+convex hull but sound.
 """
 
 from __future__ import annotations

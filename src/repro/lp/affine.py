@@ -64,7 +64,7 @@ class AffForm:
     Supports addition, subtraction, negation and multiplication by a float
     scalar.  Multiplying two non-constant forms is a type error by design:
     the analysis must stay linear in the LP unknowns (this is what makes the
-    whole inference an LP instead of an SDP; see DESIGN.md section 5).
+    whole inference an LP instead of an SDP).
     """
 
     __slots__ = ("terms", "const")

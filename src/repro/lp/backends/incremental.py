@@ -17,10 +17,12 @@ second moment, ...):
    instead of cold-starting the whole LP.
 
 The bindings used are the standalone ``highspy`` wheel when installed, else
-the copy scipy bundles for its own ``linprog`` wrapper
-(``scipy.optimize._highspy``, shipped since scipy 1.15).  With neither,
-importing this module raises :class:`ImportError`.  When every HiGHS rung
-of the robustness cascade fails, the last rung hands the rows to
+the copy scipy bundles for its own LP wrapper
+(``scipy.optimize._highspy._core``, shipped since scipy 1.15), loaded by
+file path so that ``scipy.optimize`` itself stays unimported
+(:mod:`repro.lp.backends.highs_core`).  With neither, importing this module
+raises :class:`ImportError`.  When every HiGHS rung of the robustness
+cascade fails, the last rung hands the rows to
 :class:`~repro.lp.backends.scipy_dense.ScipyDenseBackend`.
 """
 
@@ -33,6 +35,7 @@ import numpy as np
 
 from repro.deadline import AnalysisTimeout, current_deadline
 from repro.lp.backends.base import EQ, GE, Checkpoint, LPBackend, rung_status
+from repro.lp.backends.highs_core import scipy_highs_core
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 try:  # standalone highspy, if the environment has it
     import highspy as _hs  # type: ignore
 except ImportError:  # the copy scipy bundles (scipy >= 1.15)
-    from scipy.optimize._highspy import _core as _hs  # type: ignore
+    _hs = scipy_highs_core()
 
 
 def _new_highs():

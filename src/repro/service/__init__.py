@@ -29,20 +29,24 @@ explicit; this package makes them *durable* and *shared*:
   /cache/stats``) keeping warm pipelines per program hash.
 """
 
-from repro.service.cache import ArtifactCache, CacheStats, default_cache_dir, program_key
-from repro.service.executor import BatchItem, BatchReport, run_batch
-from repro.service.jobs import WorkerPool
-from repro.service.store import Job, JobStore
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ArtifactCache",
-    "BatchItem",
-    "BatchReport",
-    "CacheStats",
-    "Job",
-    "JobStore",
-    "WorkerPool",
-    "default_cache_dir",
-    "program_key",
-    "run_batch",
-]
+#: Public name -> defining module, imported on first access: a warm
+#: ``repro analyze --cache-dir`` needs the cache, not the executor, the
+#: worker fleet or the job store.
+_EXPORTS = {
+    "ArtifactCache": "repro.service.cache",
+    "CacheStats": "repro.service.cache",
+    "default_cache_dir": "repro.service.cache",
+    "program_key": "repro.service.cache",
+    "BatchItem": "repro.service.executor",
+    "BatchReport": "repro.service.executor",
+    "run_batch": "repro.service.executor",
+    "WorkerPool": "repro.service.jobs",
+    "Job": "repro.service.store",
+    "JobStore": "repro.service.store",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

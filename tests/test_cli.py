@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +171,75 @@ class TestBatchExitCode:
         out = io.StringIO()
         assert run(["batch"], out=out) == 0
         assert "FAILED" not in out.getvalue()
+
+
+#: Runs ``repro.cli.run(argv)`` in a fresh interpreter, then reports whether
+#: ``scipy.optimize`` was ever imported.  No argv: only ``import repro.cli``.
+_PROBE = """
+import sys
+from repro.cli import run
+code = run(sys.argv[1:]) if sys.argv[1:] else 0
+print("scipy.optimize loaded:", "scipy.optimize" in sys.modules, "exit:", code)
+"""
+
+
+class TestStartup:
+    """No default path imports ``scipy.optimize``: entailment is exact in
+    rationals and the Chebyshev LP runs on scipy's HiGHS ``_core``, loaded
+    by file path."""
+
+    @staticmethod
+    def _probe(tmp_path, *argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROBE, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1], proc.stdout
+
+    @pytest.fixture()
+    def registry_file(self, tmp_path):
+        from repro.programs import registry
+
+        def write(name):
+            path = tmp_path / f"{name}.appl"
+            path.write_text(registry.get(name).source)
+            return str(path)
+
+        return write
+
+    def test_import_cli(self, tmp_path):
+        last, _ = self._probe(tmp_path)
+        assert last == "scipy.optimize loaded: False exit: 0"
+
+    def test_cold_and_warm_analyze(self, tmp_path, registry_file):
+        # absynth-rdbub asks 105 entailment queries.
+        path = registry_file("absynth-rdbub")
+        argv = ["analyze", path, "--degree", "2", "--at", "n=8,i=0,j=0",
+                "--cache-dir", str(tmp_path / "cache")]
+        cold_last, cold = self._probe(tmp_path, *argv)
+        assert cold_last == "scipy.optimize loaded: False exit: 0"
+        warm_last, warm = self._probe(tmp_path, *argv)
+        assert warm_last == cold_last
+        assert "E[C^1]" in warm
+
+    def test_automatic_valuation(self, tmp_path, registry_file):
+        # No --at: main's pre-condition runs the Chebyshev-point LP.
+        last, out = self._probe(
+            tmp_path, "analyze", registry_file("absynth-2drdwalk")
+        )
+        assert last == "scipy.optimize loaded: False exit: 0"
+        assert "E[C^1]" in out
+
+    def test_jobs_status(self, tmp_path, source_file):
+        db = str(tmp_path / "jobs.sqlite3")
+        assert run(["jobs", "enqueue", source_file, "--db", db], out=io.StringIO()) == 0
+        last, out = self._probe(tmp_path, "jobs", "status", "1", "--db", db)
+        assert last == "scipy.optimize loaded: False exit: 0"
+        assert "queued" in out
+

@@ -1,0 +1,63 @@
+"""The packages' public names resolve on first access (PEP 562)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.lp.backends as backends
+import repro.service as service
+
+PACKAGES = pytest.mark.parametrize(
+    "package", [repro, backends, service], ids=lambda p: p.__name__
+)
+
+
+@PACKAGES
+def test_every_exported_name_resolves(package):
+    for name in package.__all__:
+        value = getattr(package, name)
+        assert getattr(value, "__name__", name) == name
+    assert set(package.__all__) <= set(dir(package))
+
+
+@PACKAGES
+def test_unknown_attribute_raises(package):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name  # noqa: B018
+    assert not hasattr(package, "no_such_name")
+
+
+@PACKAGES
+def test_star_import(package):
+    namespace: dict = {}
+    exec(f"from {package.__name__} import *", namespace)
+    assert set(package.__all__) <= set(namespace)
+
+
+def test_exports_are_the_defining_objects():
+    from repro.analysis.pipeline import analyze
+    from repro.lp.backends.scipy_dense import ScipyDenseBackend
+    from repro.service.store import JobStore
+    from repro.soundness.checker import check_soundness
+
+    assert repro.analyze is analyze
+    assert repro.check_soundness is check_soundness
+    assert backends.ScipyDenseBackend is ScipyDenseBackend
+    assert service.JobStore is JobStore
+
+
+def test_import_repro_loads_only_the_export_helper():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('repro')))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['repro', 'repro.lazy']"

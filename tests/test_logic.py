@@ -1,5 +1,10 @@
 """Tests for linear assertions, entailment, contexts, and Handelman."""
 
+import json
+import random
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.lang.parser import parse_condition, parse_expression, parse_program
@@ -110,6 +115,135 @@ class TestEntailment:
 
     def test_unbounded_direction(self):
         assert not entail.entails((ineq("x >= 0"),), ineq("y >= 0"))
+
+
+def _row(row) -> LinIneq:
+    const, coeffs = row
+    return LinIneq(
+        LinExpr(tuple((v, float.fromhex(c)) for v, c in coeffs), float.fromhex(const))
+    )
+
+
+def _linprog_min(gamma, target):
+    """``min target`` over ``gamma`` with linprog: (status, value)."""
+    from scipy.optimize import linprog
+
+    variables = sorted(set(target.variables()).union(*(g.variables() for g in gamma)))
+    a_ub = np.array([[-g.expr.coeff(v) for v in variables] for g in gamma])
+    b_ub = np.array([g.expr.const for g in gamma])
+    result = linprog(
+        [target.expr.coeff(v) for v in variables], A_ub=a_ub, b_ub=b_ub,
+        bounds=[(None, None)] * len(variables), method="highs",
+    )
+    value = None if result.fun is None else result.fun + target.expr.const
+    return result.status, value
+
+
+RECORDED = json.loads(
+    (Path(__file__).parent / "data" / "entail_queries.json").read_text()
+)
+
+
+class TestExactEntailment:
+    """Entailment is decided exactly in rationals (Fourier–Motzkin, with an
+    exact simplex above the row cap), never with a float tolerance."""
+
+    @staticmethod
+    def _queries():
+        contexts = [tuple(_row(r) for r in ctx) for ctx in RECORDED["contexts"]]
+        for program, ctx, target, answer in RECORDED["queries"]:
+            yield program, contexts[ctx], _row(target), answer
+
+    def test_recorded_queries_agree_with_linprog(self):
+        for program, gamma, target, answer in self._queries():
+            assert entail.entails(gamma, target) == answer, program
+
+    def test_simplex_agrees_on_recorded_queries(self, monkeypatch):
+        # A negative cap sends every query that reaches elimination to the
+        # rational simplex.
+        monkeypatch.setattr(entail, "FM_ROW_CAP", -1)
+        for program, gamma, target, answer in self._queries():
+            assert entail._entails_cached.__wrapped__(gamma, target) == answer, program
+
+    def test_sample_covers_the_registry(self):
+        from repro.programs import registry
+
+        sampled = {program for program, *_ in RECORDED["queries"]}
+        silent = set(RECORDED["no_queries"])
+        assert sampled | silent >= set(registry.all_benchmarks())
+        assert len(RECORDED["queries"]) >= 500
+        answers = {answer for *_, answer in RECORDED["queries"]}
+        assert answers == {True, False}
+
+    def test_violation_under_the_float_slack_is_not_entailed(self):
+        gamma = (ineq("x >= 1"), ineq("y >= x"))
+        target = LinIneq(LinExpr.build({"y": 1.0}, -(1.0 + 1e-8)))
+        status, value = _linprog_min(gamma, target)
+        assert status == 0 and -1e-7 <= value < 0  # linprog's slack said yes
+        assert not entail.entails(gamma, target)
+        assert entail.entails(gamma, LinIneq(LinExpr.build({"y": 1.0}, -1.0)))
+
+    def test_constant_target_has_no_slack(self):
+        target = LinIneq(LinExpr.constant(-5e-10))  # the old slack was -1e-9
+        assert not entail.entails((), target)
+        assert not Context.top().entails(target)
+        assert entail.entails((LinIneq(LinExpr.constant(-5e-10)),), target)
+        assert entail.entails((), LinIneq(LinExpr.constant(0.0)))
+
+    def test_strictness_is_tracked(self):
+        # y >= 0 is tight at x = y = 0: Γ ∧ y < 0 is infeasible only because
+        # the negated target row stays strict through elimination.
+        gamma = (ineq("x >= 0"), ineq("y >= x"))
+        assert entail.entails(gamma, ineq("y >= 0"))
+        assert entail.entails(gamma, LinIneq(LinExpr.build({"x": 0.5, "y": 0.5})))
+        assert not entail.entails(gamma, LinIneq(LinExpr.build({"y": 1.0}, -2.0**-60)))
+
+    def test_dense_system_beyond_the_cap(self, monkeypatch):
+        rng = random.Random(4)
+        names = [f"x{i}" for i in range(6)]
+
+        def pick():
+            return float(rng.choice([-3, -2, -1, 1, 2, 3]))
+
+        gamma = tuple(
+            LinIneq(LinExpr.build({v: pick() for v in names}, float(rng.randint(0, 20))))
+            for _ in range(12)
+        )
+        direction = {v: pick() for v in names}
+        simplex_calls = []
+        real_simplex = entail._simplex_entails
+
+        def spy(*args):
+            simplex_calls.append(args)
+            return real_simplex(*args)
+
+        monkeypatch.setattr(entail, "_simplex_entails", spy)
+        # min direction.x over gamma is -406.198...: 406 is not entailed
+        # (by 0.199), 407 is.
+        for const, expected in ((406.0, False), (407.0, True)):
+            target = LinIneq(LinExpr.build(direction, const))
+            status, value = _linprog_min(gamma, target)
+            assert status == 0 and (value >= 0) == expected
+            simplex_calls.clear()
+            monkeypatch.setattr(entail, "FM_ROW_CAP", 256)
+            assert entail._entails_cached.__wrapped__(gamma, target) == expected
+            assert simplex_calls, "Fourier-Motzkin finished under the cap"
+            simplex_calls.clear()
+            monkeypatch.setattr(entail, "FM_ROW_CAP", 10**9)
+            assert entail._entails_cached.__wrapped__(gamma, target) == expected
+            assert not simplex_calls
+
+    def test_simplex_edge_cases(self, monkeypatch):
+        monkeypatch.setattr(entail, "FM_ROW_CAP", -1)
+        decide = entail._entails_cached.__wrapped__
+        assert not decide((), ineq("x >= 0"))  # unbounded, no rows
+        assert decide((ineq("x >= 1"), ineq("x <= 0")), ineq("x >= 100"))  # infeasible
+        # Parallel rows tie in the phase-1 ratio test, leaving an artificial
+        # basic at zero to pivot out.
+        gamma = (ineq("x + y >= 2"), ineq("2 * x + 2 * y >= 4"), ineq("x + y <= 2"))
+        assert decide(gamma, ineq("x + y >= 2"))
+        assert not decide(gamma, ineq("x >= 0"))
+        assert decide(gamma + (ineq("x >= 0"), ineq("y >= 0")), ineq("x <= 2"))
 
 
 class TestContext:

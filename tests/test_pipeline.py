@@ -1,8 +1,15 @@
 """Tests for the staged analysis pipeline and the batch driver."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import AnalysisOptions, AnalysisPipeline, analyze, analyze_many, parse_program
+from repro.analysis.pipeline import _feasible_point
+from repro.logic.context import Context
+from repro.logic.linear import LinExpr, LinIneq
+from repro.lp.backends.highs_core import scipy_highs_core
 from repro.programs import registry
 
 RDWALK = """
@@ -177,3 +184,49 @@ class TestSolverMetadata:
         assert first.lp_reduction is not None
         assert again.lp_reduction == first.lp_reduction
         assert first.lp_reduction["reduced_cols"] < first.lp_variables
+
+
+POINTS = json.loads(
+    (Path(__file__).parent / "data" / "chebyshev_points.json").read_text()
+)["points"]
+
+
+def _context(rows) -> Context:
+    return Context(tuple(
+        LinIneq(LinExpr(tuple((v, float.fromhex(c)) for v, c in coeffs), float.fromhex(const)))
+        for const, coeffs in rows
+    ))
+
+
+class TestAutomaticValuations:
+    """Without ``objective_valuations`` the objective is evaluated at the
+    Chebyshev point of main's pre-condition.  The recorded points are what
+    ``linprog(method="highs")`` returned; the ``_core`` path must give the
+    same floats."""
+
+    def test_recorded_points_reproduce_exactly(self, capfd):
+        groups = {e["group"] for e in POINTS.values()}
+        assert len(POINTS) == 91 and groups == {"registry", "corpus"}
+        for name, entry in POINTS.items():
+            point = _feasible_point(_context(entry["context"]))
+            assert {v: x.hex() for v, x in point.items()} == entry["point"], name
+        # HiGHS logs to stdout unless told not to; CLI output must stay clean.
+        assert capfd.readouterr().out == ""
+
+    def test_registry_contexts_are_the_recorded_ones(self):
+        for name, entry in POINTS.items():
+            if entry["group"] != "registry":
+                continue
+            program = registry.parsed(name)
+            pre = AnalysisPipeline(program).context_map().fun_pre[program.main]
+            assert pre.ineqs == _context(entry["context"]).ineqs, name
+
+    def test_points_use_scipys_bundled_highs(self):
+        # Even with highspy installed, the point comes from the binding the
+        # recorded points were solved with.
+        assert scipy_highs_core().__name__ == "scipy.optimize._highspy._core"
+
+    def test_no_variables_or_bottom(self):
+        assert _feasible_point(Context.top()) == {}
+        assert _feasible_point(Context.bot()) == {}
+
