@@ -38,7 +38,6 @@ _EXPORTS = {
     "AnalysisOptions": "repro.analysis.pipeline",
     "AnalysisPipeline": "repro.analysis.pipeline",
     "analyze": "repro.analysis.pipeline",
-    "analyze_many": "repro.analysis.pipeline",
     "analyze_upper_raw": "repro.analysis.pipeline",
     "MomentBoundResult": "repro.analysis.results",
     "AnalysisError": "repro.analysis.transformer",

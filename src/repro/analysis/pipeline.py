@@ -23,8 +23,14 @@ context stages.  Lexicographic stage cuts are rolled back after every solve
 constraint system pristine for the next objective.
 
 ``analyze`` is the one-shot convenience wrapper (re-exported as
-``repro.analyze``); ``analyze_many`` runs a workload of programs
-concurrently via :mod:`concurrent.futures`.
+``repro.analyze``); :func:`repro.service.executor.run_batch` runs a named
+workload of programs, in this process or on worker processes.
+
+Concurrency: every HiGHS run of the solve stage — the lexicographic
+checkpoint/solve/rollback window and the Chebyshev point — holds one
+process-wide lock, ``_SOLVE_LOCK``: solves that overlapped on threads of
+one process were seen to return different optima, so bounds depended on
+scheduling.  Derivation stays concurrent.
 
 Timing: each artifact records its own wall time (``derive_seconds`` on the
 constraint system, ``solve_seconds`` on the solution), splitting derivation
@@ -38,10 +44,11 @@ derivation times (``BENCH_constraints.json``).
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -72,6 +79,22 @@ from repro.lp.problem import LPProblem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.service.cache import ArtifactCache
+
+
+#: Held around every HiGHS run of the solve stage (see the module docstring).
+_SOLVE_LOCK = threading.Lock()
+
+
+def _new_lock_in_child() -> None:
+    """A forked child gets a fresh lock: the fork may have happened while
+    another thread held it (``WorkerPool`` respawns workers out of a running
+    server), and that thread does not exist in the child to release it."""
+    global _SOLVE_LOCK
+    _SOLVE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # Unix only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_new_lock_in_child)
 
 
 @dataclass(frozen=True)
@@ -150,8 +173,8 @@ class ConstraintSystem:
 
     The artifact is picklable (the backend drops its native solver handle on
     serialization and rebuilds lazily) and may be shared between pipelines
-    through an :class:`~repro.service.cache.ArtifactCache`; ``solve_lock``
-    serializes the solve/rollback critical section on the shared ``lp``.
+    through an :class:`~repro.service.cache.ArtifactCache`; the module's
+    ``_SOLVE_LOCK`` serializes the cut/solve/rollback window on ``lp``.
     """
 
     key: tuple
@@ -165,18 +188,6 @@ class ConstraintSystem:
     #: reporting code must use these instead of the live counts.
     num_variables: int = 0
     num_constraints: int = 0
-
-    def __post_init__(self) -> None:
-        self.solve_lock = threading.Lock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("solve_lock", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.solve_lock = threading.Lock()
 
 
 @dataclass
@@ -396,9 +407,11 @@ class AnalysisPipeline:
         key: tuple,
     ) -> StageSolution:
         start = time.perf_counter()
-        # The system may be shared with other pipelines through the artifact
-        # store; the lock serializes the cut/solve/rollback window.
-        with system.solve_lock:
+        # One HiGHS run at a time per process (see the module docstring); the
+        # lock also serializes the cut/solve/rollback window of a system
+        # shared with other pipelines through the artifact store.  Waiting
+        # counts against the deadline: the backends check it before each run.
+        with _SOLVE_LOCK:
             checkpoint = system.lp.checkpoint()
             try:
                 solution, objective_values, statuses, scales, tolerances, used = (
@@ -554,7 +567,7 @@ class AnalysisPipeline:
 
 
 # ---------------------------------------------------------------------------
-# One-shot and batch drivers
+# One-shot drivers
 # ---------------------------------------------------------------------------
 
 
@@ -573,45 +586,6 @@ def analyze_upper_raw(
     """
     options = options or AnalysisOptions()
     return analyze(program, replace(options, upper_only=True))
-
-
-Workload = Mapping[str, "Program | tuple[Program, AnalysisOptions]"]
-
-
-def analyze_many(
-    programs: Workload | Iterable[tuple[str, Program]],
-    options: AnalysisOptions | None = None,
-    jobs: int | None = None,
-    executor: str = "thread",
-    cache: "ArtifactCache | None" = None,
-) -> dict[str, MomentBoundResult]:
-    """Analyze a workload of named programs concurrently.
-
-    ``programs`` maps names to a :class:`Program` or a ``(Program,
-    AnalysisOptions)`` pair; entries without their own options use
-    ``options``.  Results preserve the input order.  Each program gets its
-    own pipeline (and LP backend instance), so runs are independent.
-
-    This is a thin wrapper over :func:`repro.service.executor.run_batch`:
-    ``executor="thread"`` (default) overlaps the HiGHS solves while the
-    Python derivation stages interleave; ``executor="process"`` shards the
-    workload over a :class:`~concurrent.futures.ProcessPoolExecutor` for
-    multi-core throughput (pass ``cache`` to share derived artifacts
-    through its disk directory).  The first failing program raises, as it
-    always has — use :func:`~repro.service.executor.run_batch` directly for
-    per-program error isolation.
-    """
-    from repro.service.executor import run_batch
-
-    report = run_batch(
-        programs, options=options, jobs=jobs, executor=executor, cache=cache
-    )
-    for item in report.items:
-        if not item.ok:
-            if item.exception is not None:
-                raise item.exception
-            raise RuntimeError(f"analysis of {item.name!r} failed: {item.error}")
-    return {item.name: item.result for item in report.items}
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +622,8 @@ def _feasible_point(ctx: Context) -> dict[str, float]:
     installed, in the form and with the options that ``scipy.optimize``'s
     own ``method="highs"`` wrapper passes: a column-wise matrix without
     explicit zeros, infinite bounds as ``kHighsInf``, the dual simplex.  So
-    the point is the one scipy's LP solver returns.
+    the point is the one scipy's LP solver returns.  The run holds
+    ``_SOLVE_LOCK`` like every other solve.
     """
     variables = sorted(ctx.variables())
     if not variables or ctx.bottom:
@@ -686,7 +661,8 @@ def _feasible_point(ctx: Context) -> dict[str, float]:
     highs = hs._Highs()
     highs.passOptions(options)
     highs.passModel(lp)
-    highs.run()
+    with _SOLVE_LOCK:
+        highs.run()
     if highs.getModelStatus() != hs.HighsModelStatus.kOptimal:
         return {v: 1.0 for v in variables}
     x = highs.getSolution().col_value
@@ -846,6 +822,5 @@ __all__ = [
     "ConstraintSystem",
     "StageSolution",
     "analyze",
-    "analyze_many",
     "analyze_upper_raw",
 ]

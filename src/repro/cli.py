@@ -6,14 +6,16 @@ symbolic interval bounds on the raw moments, derived central moments, and
 optionally the Theorem 4.4 soundness report and a simulation cross-check.
 
 ``python -m repro batch`` runs the whole benchmark registry (optionally
-filtered by name prefix) through the sharded batch executor
+filtered by name prefix) through the batch executor
 (:func:`repro.service.executor.run_batch`) and prints one summary row per
 program; failed programs are reported inline and make the exit code
 non-zero (``--quiet`` hides the success rows, never the failures).
-``--executor queue`` routes the workload through the durable job store
-instead of an in-process pool.  ``python -m repro serve`` starts the HTTP
-JSON API (:mod:`repro.service.server`); with ``--workers N`` it also runs
-the durable-queue worker fleet behind ``POST /jobs`` / ``GET /metrics``.
+``--jobs N`` (``batch``, ``check --suite``, ``fuzz``) runs the analyses on
+N worker processes instead of in this process; ``batch --executor queue``
+routes the workload through the durable job store.  ``python -m repro
+serve`` starts the HTTP JSON API (:mod:`repro.service.server`); with
+``--workers N`` it also runs the durable-queue worker fleet behind ``POST
+/jobs`` / ``GET /metrics``.
 
 ``python -m repro jobs enqueue|status|drain`` scripts the same job store
 without HTTP: enqueue one analysis (``--dedupe`` for content-addressed
@@ -83,6 +85,13 @@ def _parse_valuation(text: str) -> dict[str, float]:
             )
         valuation[name.strip()] = float(value)
     return valuation
+
+
+def _positive_int(text: str) -> int:
+    """A worker count: ``--jobs 0`` is a usage error (exit 2)."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {text!r}")
+    return int(text)
 
 
 def _add_cache_flag(cmd: argparse.ArgumentParser) -> None:
@@ -158,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flag(analyze_cmd)
 
     batch_cmd = sub.add_parser(
-        "batch", help="analyze the benchmark registry concurrently"
+        "batch", help="analyze the benchmark registry"
     )
     batch_cmd.add_argument(
         "--prefix", default="",
@@ -169,25 +178,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the registered moment order",
     )
     batch_cmd.add_argument(
-        "--jobs", "--workers", type=int, default=None, metavar="N", dest="jobs",
-        help="number of concurrent analyses (default: min(8, #programs))",
+        "--jobs", "--workers", type=_positive_int, default=None, metavar="N",
+        dest="jobs",
+        help="local: worker processes (default 1: analyze in this process); "
+        "queue: fleet size (default min(8, #programs))",
     )
     batch_cmd.add_argument(
-        "--executor", choices=("thread", "process", "queue"), default="thread",
-        help="thread: overlap LP solves in one process; process: shard the "
-        "workload across CPU cores (workers share --cache-dir); queue: "
-        "enqueue durable jobs into a SQLite store drained by a worker "
-        "fleet (--db joins an existing store, else an ephemeral one)",
+        "--executor", choices=("local", "queue"), default="local",
+        help="local: analyze here, or on --jobs worker processes that share "
+        "--cache-dir; queue: enqueue durable jobs into a SQLite store "
+        "drained by a worker fleet (--db joins an existing store, else an "
+        "ephemeral one)",
     )
     batch_cmd.add_argument(
         "--db", default=None, metavar="PATH",
-        help="queue executor: enqueue into this job store (a running "
+        help="with --executor queue: enqueue into this job store (a running "
         "'repro serve --workers N --db PATH' fleet drains it); default is "
         "an ephemeral store + fleet for just this batch",
     )
     batch_cmd.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-        help="queue executor: give up waiting for the fleet after this long",
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="with --executor queue: give up waiting for the fleet after "
+        "this long (default 600)",
     )
     batch_cmd.add_argument(
         "--quiet", action="store_true",
@@ -232,12 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="initial valuation override, e.g. --at d=10,x=0",
     )
     check_cmd.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="suite mode: number of concurrent analyses",
-    )
-    check_cmd.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="suite mode: batch executor (default thread)",
+        "--jobs", type=_positive_int, default=None, metavar="N",
+        help="suite mode: worker processes (default 1: analyze in this "
+        "process)",
     )
     check_cmd.add_argument(
         "--verbose", action="store_true",
@@ -295,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the corpus",
     )
     fuzz_cmd.add_argument(
-        "--jobs", "--workers", type=int, default=None, metavar="N", dest="jobs",
-        help="concurrent analyses (default: min(8, #cases))",
-    )
-    fuzz_cmd.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="fan the analysis phase out over threads or processes",
+        "--jobs", "--workers", type=_positive_int, default=None, metavar="N",
+        dest="jobs",
+        help="worker processes for the analysis phase (default 1: analyze "
+        "in this process)",
     )
     _add_cache_flag(fuzz_cmd)
 
@@ -656,6 +663,12 @@ def _print_reduction_stats(stats, out) -> None:
 def _run_batch(args, out) -> int:
     from repro.programs import registry
 
+    if args.executor != "queue":
+        for flag, value in (("--db", args.db), ("--timeout", args.timeout)):
+            if value is not None:
+                print(f"{flag} needs --executor queue", file=out)
+                return 2
+
     workload = {}
     for name, bench in sorted(registry.all_benchmarks().items()):
         if not name.startswith(args.prefix):
@@ -674,7 +687,7 @@ def _run_batch(args, out) -> int:
     from repro.service.executor import run_batch
 
     store = None
-    if args.executor == "queue" and args.db:
+    if args.db:
         from repro.service.store import JobStore
 
         store = JobStore(args.db)
@@ -684,7 +697,7 @@ def _run_batch(args, out) -> int:
         executor=args.executor,
         cache=_make_cache(args),
         store=store,
-        timeout=getattr(args, "timeout", 600.0),
+        timeout=600.0 if args.timeout is None else args.timeout,
     )
 
     width = max(len(item.name) for item in report.items)
@@ -719,8 +732,8 @@ def _run_batch(args, out) -> int:
 def _batch_row(item, width: int) -> str:
     """One success row of the batch table, whichever executor ran it.
 
-    Thread/process executors hand back the in-memory result object; the
-    queue executor hands back the worker's JSON document (the result never
+    A local batch hands back the in-memory result object; the queue
+    executor hands back the worker's JSON document (the result never
     leaves the store as an object) — both carry the same numbers.
     """
     if item.result is not None:
@@ -765,7 +778,6 @@ def _run_check(args, out) -> int:
         result = run_suite(
             suite,
             jobs=args.jobs,
-            executor=args.executor,
             cache=_make_cache(args, default_on=True),
         )
         if args.as_json:
@@ -954,7 +966,6 @@ def _run_fuzz(args, out) -> int:
             corpus,
             config,
             jobs=args.jobs,
-            executor=args.executor,
             cache=cache,
             out_dir=args.out,
         )

@@ -289,7 +289,7 @@ class ReducedSolver:
     invalidate the reduction entirely).
 
     Thread safety follows the problem façade: callers serialize solves and
-    rollbacks (the pipeline's ``ConstraintSystem.solve_lock`` does).
+    rollbacks (the pipeline's ``_SOLVE_LOCK`` does).
     """
 
     def __init__(self, problem: "LPProblem") -> None:

@@ -14,8 +14,8 @@ Specs are parsed (:mod:`repro.policy.parser`) into a typed condition AST
 (:mod:`repro.policy.evaluate`) with a three-way verdict model —
 ``pass`` / ``fail`` / ``inconclusive`` — and rendered as human or
 byte-stable JSON reports (:mod:`repro.policy.report`).  Suite mode
-(:mod:`repro.policy.suite`) fans a directory of specs over registry
-program sets through the batch executor.
+(:mod:`repro.policy.suite`) checks a directory of specs against registry
+program sets in one batch.
 """
 
 from repro.policy.ast import (

@@ -3,9 +3,10 @@
 A suite is a directory of ``*.spec`` files.  Each spec names its target
 programs with the ``@programs`` directive — registry names or ``fnmatch``
 globs (``wang-*``) resolved against :mod:`repro.programs.registry`.  All
-resolved analyses fan out through the batch executor
-(:func:`repro.service.executor.run_batch`), sharing the artifact cache, and
-each spec is then evaluated against the results it asked for.
+resolved analyses go through one batch
+(:func:`repro.service.executor.run_batch`: in this process, or on ``jobs``
+worker processes), sharing the artifact cache, and each spec is then
+evaluated against the results it asked for.
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ def run_suite(
     suite: list[tuple[str, Spec]],
     *,
     jobs: int | None = None,
-    executor: str = "thread",
     cache=None,
 ) -> SuiteResult:
     """Analyze every (spec, program) pair and evaluate all assertions.
 
-    Analyses are deduplicated per ``(program, options)`` and fanned out in
-    one :func:`run_batch` call; an analysis failure surfaces as a failed
+    Analyses are deduplicated per ``(program, options)`` and run in one
+    :func:`run_batch` call (``jobs`` worker processes; default 1, in this
+    process); an analysis failure surfaces as a failed
     :class:`ProgramCheck` (``error`` set), never an exception.
     """
     from repro.programs.registry import get
@@ -133,12 +134,7 @@ def run_suite(
             entries.append((name, key))
         plan.append((relpath, spec, entries))
 
-    report = run_batch(
-        {key: pair for key, pair in workload.items()},
-        jobs=jobs,
-        executor=executor,
-        cache=cache,
-    )
+    report = run_batch(workload, jobs=jobs, cache=cache)
     items = {item.name: item for item in report.items}
 
     runs: list[SpecRun] = []

@@ -159,10 +159,10 @@ class _InternTable:
     """Process-wide monomial basis: powers -> id, id -> monomial, products.
 
     Reads are lock-free (a dict probe under the GIL); the lock only guards
-    id assignment so concurrent batch/fuzz threads cannot race two ids for
-    one canonical form.  The table grows monotonically and is never cleared:
-    the substitution-plan memo tables are keyed by ids, so clearing would
-    invalidate every cached plan in the process.
+    id assignment so the server's concurrent handler threads cannot race
+    two ids for one canonical form.  The table grows monotonically and is
+    never cleared: the substitution-plan memo tables are keyed by ids, so
+    clearing would invalidate every cached plan in the process.
     """
 
     __slots__ = ("ids", "monomials", "products", "lock")

@@ -8,9 +8,10 @@ explicit; this package makes them *durable* and *shared*:
   (:func:`repro.lang.printer.canonical_program`) plus the analysis options,
   backed by an in-memory LRU and an on-disk pickle cache that survives the
   process and is shared between processes.
-* :mod:`repro.service.executor` — the sharded batch executor: thread- or
-  process-pool execution of a named workload with per-program error
-  isolation, deterministic result ordering, and a shared disk cache.
+* :mod:`repro.service.executor` — the batch executor: a named workload
+  run in this process, on worker processes, or through the job queue,
+  with per-program error isolation, deterministic result ordering, and a
+  shared disk cache.
 * :mod:`repro.service.store` — the durable job queue: a SQLite/WAL-backed
   :class:`JobStore` with priorities, idempotent enqueue, leases with
   visibility timeouts, bounded retries with exponential backoff, and a

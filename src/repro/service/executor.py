@@ -1,32 +1,29 @@
-"""Sharded batch executor: a registry-scale workload over threads or cores.
+"""Batch executor: a named workload in this process, on cores, or queued.
 
 ``run_batch`` runs a named workload of programs through the analysis
-pipeline with three properties the plain ``ThreadPoolExecutor`` loop of
-PR 1 lacked:
+pipeline, with ``executor="local"`` (default) or ``"queue"``:
 
-* **Process sharding.**  ``executor="process"`` distributes programs over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  The derivation stages
-  are pure Python and GIL-bound, so on multi-core machines process workers
-  scale where threads cannot.  Workers are handed the *canonical text* of
-  each program (:func:`repro.lang.printer.canonical_program`) rather than a
-  pickled AST — the text is the program's content address, and re-parsing
-  it is far cheaper than one derivation.  Each worker owns a private
-  in-memory pipeline cache; when the shared :class:`ArtifactCache` has a
-  disk directory, every worker reads and writes the same store, so repeated
-  programs (and repeated *batches*) pay each stage once per machine, not
-  once per worker.
-* **Per-program error isolation.**  One infeasible or ill-formed program
-  does not abort the batch: its :class:`BatchItem` records the error and
-  the rest of the workload completes.  ``BatchReport.ok`` is False iff
-  anything failed (the CLI maps that to a non-zero exit code).
-* **Deterministic ordering.**  Results are reported in workload order no
-  matter which worker finished first.
+* **local, ``jobs=1``** (default): a plain loop in the calling process,
+  sharing its in-memory caches.
+* **local, ``jobs > 1``**: ``min(jobs, #programs)`` worker processes.
+  Derivation is pure Python and holds the GIL, so cores pay where threads
+  never did.  Workers are handed each program's *canonical text*
+  (:func:`repro.lang.printer.canonical_program`, its content address)
+  rather than a pickled AST, and own a private in-memory cache; with a
+  disk-backed :class:`ArtifactCache` they all share one store.
+* **queue**: every program becomes a durable job in a
+  :class:`~repro.service.store.JobStore` drained by a worker fleet.
+
+Either way one failing program does not abort the batch (its
+:class:`BatchItem` records the error; ``BatchReport.ok`` is False), and
+results come back in workload order.  A program gets bit-identical
+bounds at every ``jobs``.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -36,7 +33,7 @@ from repro.lang.ast import Program
 from repro.lang.printer import canonical_program
 from repro.service.cache import ArtifactCache
 
-EXECUTORS = ("thread", "process", "queue")
+EXECUTORS = ("local", "queue")
 
 
 @dataclass
@@ -46,10 +43,9 @@ class BatchItem:
     name: str
     ok: bool
     result: MomentBoundResult | None = None
+    #: Why the program failed; a local batch writes
+    #: ``"<ExceptionType>: <message>"``.
     error: str | None = None
-    #: The original exception object (thread executor only; exceptions from
-    #: process workers travel as strings).
-    exception: BaseException | None = None
     seconds: float = 0.0
     #: Queue executor only: the durable job id and the worker's JSON result
     #: document (``{"summary": ..., "result": <to_dict()>}``) — the
@@ -72,7 +68,8 @@ class BatchReport:
     """All outcomes, in workload order, plus batch-level accounting."""
 
     items: list[BatchItem] = field(default_factory=list)
-    executor: str = "thread"
+    executor: str = "local"
+    #: Workers actually used: 1 for an in-process batch.
     jobs: int = 1
     elapsed: float = 0.0
 
@@ -110,18 +107,24 @@ def run_batch(
     programs: "Mapping | Iterable[tuple[str, Program]]",
     options: AnalysisOptions | None = None,
     jobs: int | None = None,
-    executor: str = "thread",
+    executor: str = "local",
     cache: ArtifactCache | None = None,
     store=None,
     timeout: float = 600.0,
 ) -> BatchReport:
     """Analyze a named workload; see the module docstring for semantics.
 
-    ``executor="queue"`` makes the batch a thin client of the durable
+    ``programs`` maps names to a :class:`Program` or a ``(Program,
+    AnalysisOptions)`` pair (or is an iterable of ``(name, entry)``
+    pairs); entries without their own options use ``options``.
+
+    ``jobs`` is the worker count: 1 by default for a local batch, and
+    ``min(8, #programs)`` for the queue.  ``executor="queue"`` makes the
+    batch a thin client of the durable
     :class:`~repro.service.store.JobStore`: every program is enqueued as a
-    job and the call blocks until the queue finishes them.  With ``store``
-    given, an external fleet (a running ``repro serve --workers N``) does
-    the work; without one, an ephemeral drain-and-exit
+    job and the call blocks until the queue finishes them.
+    With ``store`` given, an external fleet (a running ``repro serve
+    --workers N``) does the work; without one, an ephemeral drain-and-exit
     :class:`~repro.service.jobs.WorkerPool` over a temporary database is
     spun up just for this batch.  Either way the work survives worker
     crashes (lease expiry re-delivers) and failed programs come back as
@@ -129,49 +132,60 @@ def run_batch(
     """
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     workload = _normalize(programs, options or AnalysisOptions())
-    max_workers = jobs if jobs and jobs > 0 else min(8, len(workload) or 1)
-    report = BatchReport(executor=executor, jobs=max_workers)
     start = time.perf_counter()
-    if executor == "process":
-        _run_processes(workload, max_workers, cache, report)
-    elif executor == "queue":
-        _run_queue(workload, max_workers, cache, report, store, timeout)
+    if executor == "queue":
+        workers = jobs or min(8, len(workload) or 1)
+        report = BatchReport(executor=executor, jobs=workers)
+        _run_queue(workload, workers, cache, report, store, timeout)
     else:
-        _run_threads(workload, max_workers, cache, report)
+        workers = max(1, min(jobs or 1, len(workload)))
+        report = BatchReport(executor=executor, jobs=workers)
+        if workers == 1:
+            report.items = [
+                _analyze_one(name, program, opts, cache)
+                for name, program, opts in workload
+            ]
+        else:
+            _run_processes(workload, workers, cache, report)
     report.elapsed = time.perf_counter() - start
     return report
 
 
-# -- thread mode ------------------------------------------------------------
+def _analyze_one(
+    name: str,
+    program: "Program | str",
+    options: AnalysisOptions,
+    cache: ArtifactCache | None,
+) -> BatchItem:
+    """One program on a fresh pipeline; a failure becomes the item's error.
+
+    ``program`` may be canonical source text (what process workers are
+    handed); it is parsed inside the guard, so a parse failure is an item
+    error too.
+    """
+    started = time.perf_counter()
+    try:
+        if isinstance(program, str):
+            from repro.lang.parser import parse_program
+
+            program = parse_program(program)
+        result = AnalysisPipeline(program, artifacts=cache).analyze(options)
+    except Exception as exc:
+        return BatchItem(
+            name=name,
+            ok=False,
+            error=f"{type(exc).__name__}: {exc}",
+            seconds=time.perf_counter() - started,
+        )
+    return BatchItem(
+        name=name, ok=True, result=result, seconds=time.perf_counter() - started
+    )
 
 
-def _run_threads(workload, max_workers, cache, report) -> None:
-    def job(program, opts) -> tuple[MomentBoundResult, float]:
-        started = time.perf_counter()
-        result = AnalysisPipeline(program, artifacts=cache).analyze(opts)
-        return result, time.perf_counter() - started
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            (name, pool.submit(job, program, opts))
-            for name, program, opts in workload
-        ]
-        for name, future in futures:
-            try:
-                result, seconds = future.result()
-                item = BatchItem(name=name, ok=True, result=result, seconds=seconds)
-            except Exception as exc:
-                item = BatchItem(
-                    name=name,
-                    ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    exception=exc,
-                )
-            report.items.append(item)
-
-
-# -- process mode ------------------------------------------------------------
+# -- worker processes --------------------------------------------------------
 
 #: Per-worker state, built once by the pool initializer: the worker's own
 #: ArtifactCache (private memory LRU, shared disk directory).
@@ -183,23 +197,10 @@ def _init_worker(cache_dir: "str | None", disk: bool) -> None:
     _WORKER_CACHE = ArtifactCache(cache_dir, disk=disk) if disk or cache_dir else None
 
 
-def _worker_job(name: str, source: str, options: AnalysisOptions):
+def _worker_job(name: str, source: str, options: AnalysisOptions) -> BatchItem:
     """Runs in a pool worker; must stay a module-level function (pickled by
-    reference) and must not raise — errors travel home as strings."""
-    from repro.lang.parser import parse_program
-
-    started = time.perf_counter()
-    try:
-        program = parse_program(source)
-        result = AnalysisPipeline(program, artifacts=_WORKER_CACHE).analyze(options)
-        return name, result, None, time.perf_counter() - started
-    except Exception as exc:
-        return (
-            name,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - started,
-        )
+    reference) and must not raise — errors travel home as item strings."""
+    return _analyze_one(name, source, options, _WORKER_CACHE)
 
 
 def _run_processes(workload, max_workers, cache, report) -> None:
@@ -210,9 +211,6 @@ def _run_processes(workload, max_workers, cache, report) -> None:
         # worker's ArtifactCache re-derives ``v<format>`` itself.
         cache_dir = str(cache.directory.parent)
         disk = True
-    sources = [
-        (name, canonical_program(program), opts) for name, program, opts in workload
-    ]
     with ProcessPoolExecutor(
         max_workers=max_workers,
         initializer=_init_worker,
@@ -220,21 +218,14 @@ def _run_processes(workload, max_workers, cache, report) -> None:
     ) as pool:
         # Executor.map yields results in submission order regardless of
         # which worker finishes first — workload order is preserved.
-        for name, result, error, seconds in pool.map(
-            _worker_job,
-            [s[0] for s in sources],
-            [s[1] for s in sources],
-            [s[2] for s in sources],
-        ):
-            report.items.append(
-                BatchItem(
-                    name=name,
-                    ok=error is None,
-                    result=result,
-                    error=error,
-                    seconds=seconds,
-                )
+        report.items.extend(
+            pool.map(
+                _worker_job,
+                [name for name, _, _ in workload],
+                [canonical_program(program) for _, program, _ in workload],
+                [opts for _, _, opts in workload],
             )
+        )
 
 
 # -- queue mode --------------------------------------------------------------

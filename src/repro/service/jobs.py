@@ -88,20 +88,27 @@ class RequestError(ValueError):
     """
 
 
-def _json_flag(data: dict, key: str, default: bool) -> bool:
+def _json_flag(
+    data: dict, key: str, default: bool, prefix: str = "options."
+) -> bool:
+    """``data[key]`` as a JSON boolean; ``prefix`` names the enclosing
+    object in the error (``""`` for a top-level request field)."""
     value = data.get(key, default)
     if not isinstance(value, bool):
-        raise RequestError(f"options.{key} must be true or false, got {value!r}")
+        raise RequestError(f"{prefix}{key} must be true or false, got {value!r}")
     return value
 
 
-def _json_int(data: dict, key: str, default: "int | None") -> "int | None":
+def _json_int(
+    data: dict, key: str, default: "int | None", prefix: str = "options."
+) -> "int | None":
+    """``data[key]`` as a JSON integer (see :func:`_json_flag`)."""
     value = data.get(key, default)
     if value is None and default is None:
         return None
     # bool is an int subclass; a JSON true is not a degree.
     if isinstance(value, bool) or not isinstance(value, int):
-        raise RequestError(f"options.{key} must be an integer, got {value!r}")
+        raise RequestError(f"{prefix}{key} must be an integer, got {value!r}")
     return value
 
 

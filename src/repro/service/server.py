@@ -22,17 +22,22 @@ Endpoints:
 * ``POST /jobs`` — enqueue: body ``{"program": src, "options": {...},
   "priority": 0, "idempotency_key": "...", "dedupe": false,
   "max_attempts": 3}``; responds 202 with the job id (200 when an
-  idempotency key deduped to an existing job).  429 when the queue is at
-  the ``--max-queued`` backpressure limit.
+  idempotency key deduped to an existing job).  ``dedupe`` must be a JSON
+  boolean, ``priority`` and ``max_attempts`` JSON integers
+  (``max_attempts`` at least 1); anything else is a 400.  429 when the
+  queue is at the ``--max-queued`` backpressure limit.
 * ``GET /jobs/{id}`` — job status (state, attempts, retries, timings).
 * ``GET /jobs/{id}/result`` — 200 with the result document once done;
   202 while pending/running; 200 with ``ok=false`` + error for
   dead-lettered jobs; 404 for unknown ids.
 * ``POST /batch`` — with a fleet: every program is enqueued and the
   handler waits for the queue to finish them (durable fan-out — the jobs
-  survive even if the client disconnects); without a fleet it falls back
-  to the in-process batch executor.  Response shape is identical either
-  way, plus a ``job_id`` per item in queued mode.
+  survive even if the client disconnects; ``priority``, ``dedupe`` and a
+  positive ``timeout`` in seconds are checked like ``/jobs`` fields).
+  Without a fleet the handler thread analyzes the programs one after
+  another through the server's artifact cache.  Response shape is
+  identical either way, plus a ``job_id`` per item in queued mode.  A
+  ``jobs`` field is a 400: ``repro serve --workers N`` sizes the fleet.
 * ``GET /metrics`` — queue depth, per-state counts, retry/dead counters,
   cache hit rate, and p50/p99 analysis latency; JSON by default,
   Prometheus text with ``?format=prometheus`` (or ``Accept:
@@ -49,6 +54,7 @@ Endpoints:
 from __future__ import annotations
 
 import json
+import math
 import re
 import signal
 import time
@@ -57,13 +63,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from threading import Lock
 
 from repro import __version__
-from repro.analysis.pipeline import AnalysisPipeline
+from repro.analysis.pipeline import AnalysisOptions, AnalysisPipeline
 from repro.lang.parser import ParseError, parse_program
 from repro.service.cache import ArtifactCache, program_key
 from repro.service.executor import run_batch
 from repro.service.jobs import (
     RequestError,
     WorkerPool,
+    _json_flag,
+    _json_int,
     enqueue_analysis,
     job_idempotency_key,
     options_from_dict,
@@ -215,13 +223,13 @@ class AnalysisService:
     def enqueue_request(self, payload: dict) -> tuple[dict, bool]:
         """``POST /jobs`` → (response, deduped)."""
         store = self._require_store()
-        self._check_backpressure()
         kind = payload.get("kind", "analyze")
-        try:
-            priority = int(payload.get("priority", 0))
-            max_attempts = int(payload.get("max_attempts", 3))
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad priority/max_attempts: {exc}") from exc
+        priority = _json_int(payload, "priority", 0, prefix="")
+        max_attempts = _json_int(payload, "max_attempts", 3, prefix="")
+        if max_attempts < 1:
+            raise RequestError(f"max_attempts must be at least 1, got {max_attempts}")
+        dedupe = _json_flag(payload, "dedupe", False, prefix="")
+        self._check_backpressure()
         key = payload.get("idempotency_key")
         if key is not None and not isinstance(key, str):
             raise RequestError("idempotency_key must be a string")
@@ -232,7 +240,7 @@ class AnalysisService:
                 payload.get("options"),
                 priority=priority,
                 idempotency_key=key,
-                dedupe=bool(payload.get("dedupe", False)),
+                dedupe=dedupe,
                 max_attempts=max_attempts,
             )
         elif kind == "check":
@@ -241,7 +249,7 @@ class AnalysisService:
             body = check_payload(
                 payload.get("program"), payload.get("spec"), payload.get("options")
             )
-            if key is None and payload.get("dedupe"):
+            if key is None and dedupe:
                 key = job_idempotency_key(kind, body)
             job_id, deduped = store.enqueue(
                 body,
@@ -257,7 +265,7 @@ class AnalysisService:
                 k: v for k, v in payload.items()
                 if k in ("seconds", "message", "retryable", "timeout")
             }
-            if key is None and payload.get("dedupe"):
+            if key is None and dedupe:
                 key = job_idempotency_key(kind, body)
             job_id, deduped = store.enqueue(
                 body,
@@ -314,33 +322,45 @@ class AnalysisService:
         programs = payload.get("programs")
         if not isinstance(programs, dict) or not programs:
             raise RequestError('body must carry {"programs": {name: source, ...}}')
-        options = payload.get("options")
-        options_from_dict(options)  # validate once, up front
+        if "jobs" in payload:
+            raise RequestError(
+                '"jobs" is not a /batch field: the fleet is sized by'
+                " repro serve --workers N"
+            )
+        options = options_from_dict(payload.get("options"))  # validate up front
+        priority = _json_int(payload, "priority", 0, prefix="")
+        dedupe = _json_flag(payload, "dedupe", False, prefix="")
+        timeout = payload.get("timeout", self.batch_timeout)
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout < math.inf
+        ):
+            raise RequestError(
+                f"timeout must be a positive number of seconds, got {timeout!r}"
+            )
         if self.store is not None and self.pool is not None:
-            return self._batch_via_queue(programs, payload)
-        return self._batch_inline(programs, payload)
+            return self._batch_via_queue(
+                programs, payload.get("options"), priority, dedupe, timeout
+            )
+        return self._batch_inline(programs, options)
 
-    def _batch_via_queue(self, programs: dict, payload: dict) -> dict:
+    def _batch_via_queue(
+        self, programs: dict, options: "dict | None", priority: int,
+        dedupe: bool, timeout: float,
+    ) -> dict:
         """Durable fan-out: one job per program, drained by the fleet."""
         store = self._require_store()
         self._check_backpressure(adding=len(programs))
-        try:
-            priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad priority: {exc}") from exc
-        try:
-            timeout = float(payload.get("timeout", self.batch_timeout))
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad timeout: {exc}") from exc
         names = list(programs)
         ids = []
         for name in names:
             job_id, _ = enqueue_analysis(
                 store,
                 programs[name],
-                payload.get("options"),
+                options,
                 priority=priority,
-                dedupe=bool(payload.get("dedupe", False)),
+                dedupe=dedupe,
             )
             ids.append(job_id)
         started = time.perf_counter()
@@ -377,21 +397,19 @@ class AnalysisService:
             "items": items,
         }
 
-    def _batch_inline(self, programs: dict, payload: dict) -> dict:
-        """No fleet: the original in-process batch executor."""
-        options = options_from_dict(payload.get("options"))
-        jobs = payload.get("jobs")
-        try:
-            jobs = int(jobs) if jobs is not None else None
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"jobs must be an integer: {exc}") from exc
+    def _batch_inline(self, programs: dict, options: AnalysisOptions) -> dict:
+        """No fleet: one program after another in this handler thread.
+
+        Forking a process pool per request would compete with the other
+        handler threads; ``repro serve --workers N`` is the parallel path.
+        """
         workload = {}
         for name, source in programs.items():
             try:
                 workload[name] = parse_program(source)
             except ParseError as exc:
                 raise RequestError(f"program {name!r} does not parse: {exc}") from exc
-        report = run_batch(workload, options=options, jobs=jobs, cache=self.cache)
+        report = run_batch(workload, options=options, cache=self.cache)
         return {
             "ok": report.ok,
             "queued": False,

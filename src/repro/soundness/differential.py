@@ -5,9 +5,10 @@ raw or central moment *brackets the true moment*.  This module checks that
 claim mechanically, at scale, on programs nobody hand-tuned:
 
 1. each :class:`~repro.programs.fuzz.FuzzCase` is analyzed through the
-   standard pipeline — fanned out over the sharded batch executor
-   (:func:`repro.service.executor.run_batch`) and, when a cache is attached,
-   the content-addressed artifact store, so repeated corpora are cheap;
+   standard pipeline — in one batch
+   (:func:`repro.service.executor.run_batch`: in this process, or on
+   ``jobs`` worker processes) and, when a cache is attached, the
+   content-addressed artifact store, so repeated corpora are cheap;
 2. the same program is simulated with the batched engine
    (:class:`~repro.interp.vectorized.VectorizedMachine`) at ``n`` samples;
 3. every inferred interval must bracket its empirical moment up to an
@@ -593,16 +594,16 @@ def run_differential(
     cases: list[FuzzCase],
     config: DifferentialConfig | None = None,
     jobs: int | None = None,
-    executor: str = "thread",
     cache: ArtifactCache | None = None,
     out_dir: str | None = None,
 ) -> DifferentialReport:
     """Differential-check a corpus; see the module docstring.
 
-    The analysis fan-out goes through :func:`repro.service.executor.run_batch`
-    (``executor``/``jobs``/``cache`` have their batch-executor meanings); the
-    Monte-Carlo and comparison phases run in the calling process, where the
-    vectorized engine makes them a small fraction of the analysis cost.
+    The analyses go through :func:`repro.service.executor.run_batch`
+    (``jobs``/``cache`` have their batch meanings: by default one worker,
+    this process); the Monte-Carlo and comparison phases run in the calling
+    process, where the vectorized engine makes them a small fraction of the
+    analysis cost.
     """
     config = config or DifferentialConfig()
     started = time.perf_counter()
@@ -610,7 +611,7 @@ def run_differential(
         case.name: (case.parse(), _case_options(case, config))
         for case in cases
     }
-    batch = run_batch(workload, jobs=jobs, executor=executor, cache=cache)
+    batch = run_batch(workload, jobs=jobs, cache=cache)
 
     report = DifferentialReport()
     by_name = {case.name: case for case in cases}

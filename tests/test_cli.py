@@ -71,6 +71,26 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert f"unrecognized arguments: {flag}" in err
 
+    def test_only_batch_has_an_executor(self, capsys):
+        """``--executor`` is ``local`` or ``queue``, on ``repro batch`` only;
+        a worker count below 1 is a usage error everywhere."""
+        for argv, message in (
+            # fuzz reads the stray value as its subcommand.
+            (["fuzz", "--executor", "thread"], "invalid choice: 'thread'"),
+            (["check", "--suite", "examples/specs", "--executor", "process"],
+             "unrecognized arguments: --executor"),
+            (["batch", "--executor", "thread"], "choose from 'local', 'queue'"),
+            (["batch", "--executor", "process"], "choose from 'local', 'queue'"),
+            (["batch", "--jobs", "0"], "--jobs"),
+            (["check", "--suite", "examples/specs", "--jobs", "0"], "--jobs"),
+            (["fuzz", "--jobs", "-1"], "--jobs"),
+            (["fuzz", "--jobs", "two"], "--jobs"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv, out=io.StringIO())
+            assert excinfo.value.code == 2, argv
+            assert message in capsys.readouterr().err, argv
+
     def test_soundness_flag(self, source_file):
         out = io.StringIO()
         run(["analyze", source_file, "--check", "--at", "d=10,x=0,t=0"], out=out)
@@ -115,7 +135,7 @@ class TestCli:
         out = io.StringIO()
         code = run(
             ["fuzz", "--seed", "10", "--count", "2", "--samples", "400",
-             "--jobs", "2", "--executor", "thread",
+             "--jobs", "2",
              "--cache-dir", str(tmp_path / "cache"),
              "--out", str(tmp_path / "violations")],
             out=out,
@@ -165,6 +185,15 @@ class TestBatchExitCode:
         assert "FAILED" in text and "ValidationError" in text
         # The good program still completed and is reported normally.
         assert "good" in text and "1 failed" in text
+
+    def test_queue_flags_need_the_queue_executor(self, tmp_path):
+        db = tmp_path / "jobs.sqlite3"
+        for extra in (["--db", str(db)], ["--timeout", "1"],
+                      ["--db", str(db), "--timeout", "1"]):
+            out = io.StringIO()
+            assert run(["batch", "--prefix", "geo", *extra], out=out) == 2
+            assert "needs --executor queue" in out.getvalue(), extra
+        assert not db.exists()
 
     def test_batch_all_green_exits_zero(self, monkeypatch):
         self._patch_registry(monkeypatch, {"good": RDWALK})

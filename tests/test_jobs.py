@@ -458,6 +458,42 @@ class TestJobEndpoints:
         status, body = _post(server, "/jobs", {"kind": "mystery"})
         assert status == 400
 
+    def test_top_level_fields_are_strict(self, queue_server):
+        """``dedupe`` is a JSON boolean, ``priority``/``max_attempts`` JSON
+        integers (``max_attempts`` >= 1) and the /batch ``timeout`` a
+        positive number: nothing is coerced (``bool("false")`` is true)."""
+        server, store, _pool = queue_server
+        for extra, key in (
+            ({"dedupe": "false"}, "dedupe"),
+            ({"dedupe": 1}, "dedupe"),
+            ({"priority": 2.9}, "priority"),
+            ({"priority": True}, "priority"),
+            ({"priority": "2"}, "priority"),
+            ({"max_attempts": 0}, "max_attempts"),
+            ({"max_attempts": "3"}, "max_attempts"),
+        ):
+            for kind in ("analyze", "check", "sleep"):
+                body = {"kind": kind, "program": SIMPLE, "spec": "E[cost] <= 9",
+                        "seconds": 0, **extra}
+                status, doc = _post(server, "/jobs", body)
+                assert status == 400 and key in doc["error"], (kind, doc)
+        batch = {"programs": {"a": SIMPLE}, "options": FAST}
+        for extra, key in (
+            ({"timeout": 0}, "timeout"),
+            ({"timeout": -1.5}, "timeout"),
+            ({"timeout": "60"}, "timeout"),
+            ({"priority": 2.9}, "priority"),
+            ({"dedupe": "false"}, "dedupe"),
+            ({"jobs": 2}, "--workers"),
+        ):
+            status, doc = _post(server, "/batch", {**batch, **extra})
+            assert status == 400 and key in doc["error"], doc
+        assert store.depth() == 0  # nothing was enqueued by a rejected body
+        # A JSON false really is false: two enqueues are two jobs.
+        body = {"program": SIMPLE, "options": FAST, "dedupe": False}
+        (s1, first), (s2, second) = (_post(server, "/jobs", body) for _ in range(2))
+        assert (s1, s2) == (202, 202) and first["id"] != second["id"]
+
     def test_batch_rides_the_queue(self, queue_server):
         server, store, _pool = queue_server
         status, body = _post(
@@ -548,25 +584,25 @@ class TestJobEndpoints:
 
 
 class TestQueueBatch:
-    def test_matches_thread_executor(self, tmp_path):
+    def test_matches_local_executor(self, tmp_path):
         from repro import parse_program
 
         programs = {"simple": parse_program(SIMPLE)}
         options = AnalysisOptions(
             moment_degree=1, objective_valuations=({"d": 4.0},)
         )
-        threaded = run_batch(programs, options=options, executor="thread")
+        local = run_batch(programs, options=options)
         queued = run_batch(
             programs, options=options, executor="queue", jobs=1,
             cache=ArtifactCache(tmp_path / "cache"),
         )
-        assert queued.ok and threaded.ok
+        assert queued.ok and local.ok
         item = queued.items[0]
         assert item.job_id is not None and item.result is None
         bounds = lambda text: [  # noqa: E731 -- summaries embed timings
             line for line in text.splitlines() if " in [" in line
         ]
-        assert bounds(item.summary) == bounds(threaded.items[0].summary)
+        assert bounds(item.summary) == bounds(local.items[0].summary)
         low, high = item.payload["result"]["evaluated"]["E[C^1]"]
         assert low <= 4.0 <= high
 
@@ -738,9 +774,9 @@ class TestBatchQuiet:
         assert "1 programs" in out_quiet.getvalue()
 
     def test_queue_executor_cli_parity(self, monkeypatch):
-        out_thread, out_queue = io.StringIO(), io.StringIO()
+        out_local, out_queue = io.StringIO(), io.StringIO()
         assert (
-            cli_run(["batch", "--prefix", "rdwalk-var1"], out=out_thread) == 0
+            cli_run(["batch", "--prefix", "rdwalk-var1"], out=out_local) == 0
         )
         assert (
             cli_run(
@@ -754,4 +790,4 @@ class TestBatchQuiet:
             line for line in text.splitlines() if line.startswith("rdwalk-var1")
         )
         # Same bounds columns; timings differ, so compare up to LP vars.
-        assert row(out_thread.getvalue())[:55] == row(out_queue.getvalue())[:55]
+        assert row(out_local.getvalue())[:55] == row(out_queue.getvalue())[:55]

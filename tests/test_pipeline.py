@@ -1,11 +1,12 @@
 """Tests for the staged analysis pipeline and the batch driver."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro import AnalysisOptions, AnalysisPipeline, analyze, analyze_many, parse_program
+from repro import AnalysisOptions, AnalysisPipeline, analyze, parse_program, run_batch
 from repro.analysis.pipeline import _feasible_point
 from repro.logic.context import Context
 from repro.logic.linear import LinExpr, LinIneq
@@ -90,58 +91,125 @@ class TestStageCaching:
         assert via_pipe.objective_values == pytest.approx(one_shot.objective_values)
 
 
-class TestAnalyzeMany:
-    def _workload(self, names):
-        workload = {}
-        for name in names:
-            bench = registry.get(name)
-            options = AnalysisOptions(
-                moment_degree=2,
+def _registry_workload():
+    """The 42 registry programs at their registered options."""
+    workload = {}
+    for name in sorted(registry.all_benchmarks()):
+        bench = registry.get(name)
+        workload[name] = (
+            registry.parsed(name),
+            AnalysisOptions(
+                moment_degree=bench.moment_degree,
                 template_degree=bench.template_degree,
                 degree_cap=bench.degree_cap,
                 objective_valuations=(bench.valuation,)
                 + tuple(bench.extra_valuations),
-            )
-            workload[name] = (registry.parsed(name), options)
-        return workload
-
-    def test_full_registry_matches_sequential_analyze(self):
-        """Acceptance: the batch driver over the whole program registry
-        returns the same per-program bounds as sequential ``analyze``."""
-        workload = self._workload(sorted(registry.all_benchmarks()))
-        sequential = {
-            name: analyze(program, options)
-            for name, (program, options) in workload.items()
-        }
-        concurrent = analyze_many(workload, jobs=4)
-        assert list(concurrent) == list(workload)
-        for name, result in concurrent.items():
-            expected = sequential[name]
-            assert result.objective_values == pytest.approx(
-                expected.objective_values, rel=1e-9, abs=1e-9
-            ), name
-            for k in range(1, result.raw.degree + 1):
-                got = result.raw_interval(k)
-                want = expected.raw_interval(k)
-                assert got.lo == pytest.approx(want.lo, rel=1e-9, abs=1e-9), name
-                assert got.hi == pytest.approx(want.hi, rel=1e-9, abs=1e-9), name
-
-    def test_accepts_pairs_and_default_options(self):
-        program = parse_program(RDWALK)
-        results = analyze_many(
-            [("a", program), ("b", program)],
-            options=AnalysisOptions(moment_degree=1),
-            jobs=2,
+            ),
         )
-        assert set(results) == {"a", "b"}
-        assert results["a"].raw.degree == 1
+    return workload
 
-    def test_single_job_runs_sequentially(self):
-        program = parse_program(RDWALK)
-        results = analyze_many({"only": program}, jobs=1)
-        assert results["only"].raw_interval(
-            1, {"d": 10.0, "x": 0.0, "t": 0.0}
-        ).hi == pytest.approx(24.0, rel=1e-3)
+
+def _fingerprint(result):
+    """What the bounds rest on, bit for bit: the stage optima and every raw
+    interval end as ``float.hex``."""
+    return (
+        [float(v).hex() for v in result.objective_values],
+        [(float(i.lo).hex(), float(i.hi).hex()) for i in result.raw_intervals()],
+    )
+
+
+@pytest.fixture(scope="module")
+def registry_reference():
+    """One sequential pass: fresh pipelines, no cache."""
+    workload = _registry_workload()
+    return workload, {
+        name: _fingerprint(analyze(program, options))
+        for name, (program, options) in workload.items()
+    }
+
+
+class TestRegistryBatch:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_full_registry_matches_sequential_analyze(self, registry_reference, jobs):
+        """Acceptance: a batch over the whole program registry returns
+        bit-identical bounds to sequential ``analyze``, in this process and
+        on worker processes."""
+        workload, expected = registry_reference
+        report = run_batch(workload, jobs=jobs)
+        assert report.ok, [item.error for item in report.failures]
+        assert report.jobs == jobs
+        assert [item.name for item in report.items] == list(workload)
+        for item in report.items:
+            assert _fingerprint(item.result) == expected[item.name], item.name
+
+
+def _analyze_rdwalk_and_exit():
+    AnalysisPipeline(parse_program(RDWALK)).analyze(AnalysisOptions(moment_degree=1))
+
+
+class TestConcurrentSolves:
+    def test_forked_child_gets_a_free_solve_lock(self):
+        """A worker forked while another thread holds the solve lock (the
+        server respawning a fleet worker mid-request) must still solve."""
+        import multiprocessing
+
+        from repro.analysis import pipeline
+
+        ctx = multiprocessing.get_context("fork")
+        with pipeline._SOLVE_LOCK:
+            child = ctx.Process(target=_analyze_rdwalk_and_exit)
+            child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    def test_waiting_for_the_solve_lock_counts_against_the_deadline(self):
+        import threading
+        import time
+
+        from repro.analysis import pipeline
+        from repro.deadline import AnalysisTimeout
+
+        options = AnalysisOptions(
+            moment_degree=1,
+            deadline_seconds=0.3,
+            objective_valuations=({"d": 10.0, "x": 0.0, "t": 0.0},),
+        )
+        pipe = AnalysisPipeline(parse_program(RDWALK))
+        pipe.constraint_system(options)  # derived outside the budget
+        stages = []
+
+        def analyze_with_deadline():
+            try:
+                pipe.analyze(options)
+            except AnalysisTimeout as exc:
+                stages.append(exc.stage)
+
+        with pipeline._SOLVE_LOCK:  # another thread mid-solve
+            waiter = threading.Thread(target=analyze_with_deadline)
+            waiter.start()
+            time.sleep(0.6)
+        waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert len(stages) == 1 and stages[0].startswith("lp."), stages
+
+    def test_threads_do_not_change_bounds(self, registry_reference):
+        """Analyses on concurrent threads (the server's handler threads) get
+        the bounds a single thread gets: overlapping solves used to move
+        optima, on a different handful of programs each run."""
+        workload, expected = registry_reference
+
+        def fingerprint(name):
+            program, options = workload[name]
+            return _fingerprint(AnalysisPipeline(program).analyze(options))
+
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = dict(zip(workload, pool.map(fingerprint, workload)))
+            moved = [name for name in workload if got[name] != expected[name]]
+            assert not moved
 
 
 class TestSolverMetadata:

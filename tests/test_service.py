@@ -16,12 +16,10 @@ from repro import (
     AnalysisPipeline,
     ArtifactCache,
     analyze,
-    analyze_many,
     parse_program,
     run_batch,
 )
 from repro.lang.printer import canonical_program
-from repro.lang.varinfo import ValidationError
 from repro.service.cache import program_key
 from repro.service.server import make_server
 
@@ -269,65 +267,74 @@ class TestBatchExecutor:
             "simple": (parse_program(SIMPLE), OPTS),
         }
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_executors_agree_and_preserve_order(self, executor, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_executors_agree_and_preserve_order(self, jobs, tmp_path):
         cache = ArtifactCache(tmp_path)
-        report = run_batch(self._workload(), jobs=2, executor=executor, cache=cache)
+        report = run_batch(self._workload(), jobs=jobs, cache=cache)
         assert report.ok
+        assert (report.executor, report.jobs) == ("local", jobs)
         assert [item.name for item in report.items] == ["rdwalk", "simple"]
         sequential = {
             name: analyze(program, opts)
             for name, (program, opts) in self._workload().items()
         }
         for item in report.items:
-            assert item.result.objective_values == pytest.approx(
-                sequential[item.name].objective_values
+            assert (
+                item.result.objective_values == sequential[item.name].objective_values
             ), item.name
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_per_program_error_isolation(self, executor):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_per_program_error_isolation(self, jobs):
         workload = {
             "good": (parse_program(SIMPLE), OPTS),
             "bad": (parse_program(BROKEN), OPTS),
             "also-good": (parse_program(RDWALK), OPTS),
         }
-        report = run_batch(workload, executor=executor, jobs=2)
+        report = run_batch(workload, jobs=jobs)
         assert not report.ok
         assert [item.name for item in report.items] == ["good", "bad", "also-good"]
         assert report.items[0].ok and report.items[2].ok
         failed = report.items[1]
         assert not failed.ok and failed.result is None
-        assert "ValidationError" in failed.error
+        assert failed.error.startswith("ValidationError: ")
         assert list(report.results) == ["good", "also-good"]
+
+    def test_accepts_pairs_and_default_options(self):
+        program = parse_program(RDWALK)
+        report = run_batch(
+            [("a", program), ("b", program)],
+            options=AnalysisOptions(moment_degree=1),
+            jobs=2,
+        )
+        assert list(report.results) == ["a", "b"]
+        assert report.results["a"].raw.degree == 1
+
+    def test_workers_never_exceed_programs(self):
+        report = run_batch({"simple": parse_program(SIMPLE)}, options=OPTS, jobs=4)
+        assert report.ok and report.jobs == 1
 
     def test_process_workers_share_the_disk_cache(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        run_batch(self._workload(), executor="process", jobs=2, cache=cache)
+        run_batch(self._workload(), jobs=2, cache=cache)
         _, disk_entries = cache.entry_count()
         assert disk_entries > 0
         # Second batch in fresh workers: everything is already derived.
         fresh = ArtifactCache(tmp_path)
-        report = run_batch(self._workload(), executor="process", jobs=2, cache=fresh)
+        report = run_batch(self._workload(), jobs=2, cache=fresh)
         assert report.ok
         _, disk_after = cache.entry_count()
         assert disk_after == disk_entries
 
-    def test_analyze_many_raises_on_failure(self):
-        with pytest.raises(ValidationError):
-            analyze_many({"bad": (parse_program(BROKEN), OPTS)})
-
-    def test_analyze_many_process_mode(self):
-        results = analyze_many(
-            {"simple": parse_program(SIMPLE)},
-            options=OPTS,
-            executor="process",
-            jobs=1,
-        )
-        assert results["simple"].raw_interval(1, {"d": 10.0, "x": 0.0}).hi >= 10.0
-
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            run_batch({}, executor="fiber")
+        for executor in ("fiber", "thread", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                run_batch({}, executor=executor)
+
+    @pytest.mark.parametrize("executor", ["local", "queue"])
+    def test_jobs_below_one_rejected(self, executor):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                run_batch({}, jobs=jobs, executor=executor)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +472,8 @@ class TestServer:
         assert status == 200
         payload = json.loads(raw)
         assert payload["ok"] is False
+        # No fleet: the handler thread analyzes one program after another.
+        assert payload["queued"] is False and payload["jobs"] == 1
         by_name = {item["name"]: item for item in payload["items"]}
         assert by_name["good"]["ok"] and "summary" in by_name["good"]
         assert not by_name["bad"]["ok"] and "ValidationError" in by_name["bad"]["error"]
@@ -523,6 +532,21 @@ class TestServer:
         ):
             status, raw, _ = _post(
                 server, "/analyze", {"program": SIMPLE, "options": options}
+            )
+            assert status == 400 and key in json.loads(raw)["error"], raw
+        # The same holds for /batch's top-level fields; the fleet is sized
+        # by ``repro serve --workers N``, never by the request body.
+        for extra, key in (
+            ({"jobs": 2}, "--workers"),
+            ({"jobs": "2"}, "--workers"),
+            ({"priority": 2.9}, "priority"),
+            ({"priority": True}, "priority"),
+            ({"dedupe": "false"}, "dedupe"),
+            ({"timeout": 0}, "timeout"),
+            ({"timeout": "5"}, "timeout"),
+        ):
+            status, raw, _ = _post(
+                server, "/batch", {"programs": {"simple": SIMPLE}, **extra}
             )
             assert status == 400 and key in json.loads(raw)["error"], raw
         status, raw = _post_bad_content_length(server)
