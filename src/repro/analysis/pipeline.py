@@ -26,11 +26,13 @@ constraint system pristine for the next objective.
 ``repro.analyze``); :func:`repro.service.executor.run_batch` runs a named
 workload of programs, in this process or on worker processes.
 
-Concurrency: every HiGHS run of the solve stage — the lexicographic
-checkpoint/solve/rollback window and the Chebyshev point — holds one
-process-wide lock, ``_SOLVE_LOCK``: solves that overlapped on threads of
-one process were seen to return different optima, so bounds depended on
-scheduling.  Derivation stays concurrent.
+Concurrency: bounds depend on the program and the options alone.  No
+solve decision reads a clock, so analyses on concurrent threads get the
+bounds one thread gets.  A :class:`ConstraintSystem` may be shared between
+pipelines through an artifact store, and its LP carries lexicographic cut
+rows while it solves, so each system owns a lock held around its
+checkpoint/solve/rollback window; solves of different systems, the
+Chebyshev point and derivation all run concurrently.
 
 Timing: each artifact records its own wall time (``derive_seconds`` on the
 constraint system, ``solve_seconds`` on the solution), splitting derivation
@@ -44,7 +46,6 @@ derivation times (``BENCH_constraints.json``).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -79,22 +80,6 @@ from repro.lp.problem import LPProblem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.service.cache import ArtifactCache
-
-
-#: Held around every HiGHS run of the solve stage (see the module docstring).
-_SOLVE_LOCK = threading.Lock()
-
-
-def _new_lock_in_child() -> None:
-    """A forked child gets a fresh lock: the fork may have happened while
-    another thread held it (``WorkerPool`` respawns workers out of a running
-    server), and that thread does not exist in the child to release it."""
-    global _SOLVE_LOCK
-    _SOLVE_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # Unix only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_new_lock_in_child)
 
 
 @dataclass(frozen=True)
@@ -172,9 +157,10 @@ class ConstraintSystem:
     """Stage-3 artifact: the derived LP plus the templates that feed it.
 
     The artifact is picklable (the backend drops its native solver handle on
-    serialization and rebuilds lazily) and may be shared between pipelines
-    through an :class:`~repro.service.cache.ArtifactCache`; the module's
-    ``_SOLVE_LOCK`` serializes the cut/solve/rollback window on ``lp``.
+    serialization and rebuilds lazily, and the pickle drops ``lock``) and
+    may be shared between pipelines through an
+    :class:`~repro.service.cache.ArtifactCache`; ``lock`` serializes the
+    checkpoint/solve/rollback window on ``lp``.
     """
 
     key: tuple
@@ -188,6 +174,18 @@ class ConstraintSystem:
     #: reporting code must use these instead of the live counts.
     num_variables: int = 0
     num_constraints: int = 0
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.lock = threading.Lock()
 
 
 @dataclass
@@ -407,11 +405,13 @@ class AnalysisPipeline:
         key: tuple,
     ) -> StageSolution:
         start = time.perf_counter()
-        # One HiGHS run at a time per process (see the module docstring); the
-        # lock also serializes the cut/solve/rollback window of a system
-        # shared with other pipelines through the artifact store.  Waiting
-        # counts against the deadline: the backends check it before each run.
-        with _SOLVE_LOCK:
+        # Stage cuts live on the shared system until the rollback, so one
+        # solve at a time per system.  Waiting counts against the deadline:
+        # the backends check it before each run.
+        with system.lock:
+            # A cached system solves as a freshly derived one does, whatever
+            # solves at other valuations left in its reduction layer.
+            system.lp.forget_solves()
             checkpoint = system.lp.checkpoint()
             try:
                 solution, objective_values, statuses, scales, tolerances, used = (
@@ -622,8 +622,8 @@ def _feasible_point(ctx: Context) -> dict[str, float]:
     installed, in the form and with the options that ``scipy.optimize``'s
     own ``method="highs"`` wrapper passes: a column-wise matrix without
     explicit zeros, infinite bounds as ``kHighsInf``, the dual simplex.  So
-    the point is the one scipy's LP solver returns.  The run holds
-    ``_SOLVE_LOCK`` like every other solve.
+    the point is the one scipy's LP solver returns.  The model lives on a
+    private HiGHS instance, so the run takes no lock.
     """
     variables = sorted(ctx.variables())
     if not variables or ctx.bottom:
@@ -661,8 +661,7 @@ def _feasible_point(ctx: Context) -> dict[str, float]:
     highs = hs._Highs()
     highs.passOptions(options)
     highs.passModel(lp)
-    with _SOLVE_LOCK:
-        highs.run()
+    highs.run()
     if highs.getModelStatus() != hs.HighsModelStatus.kOptimal:
         return {v: 1.0 for v in variables}
     x = highs.getSolution().col_value

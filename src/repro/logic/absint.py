@@ -45,23 +45,29 @@ _MAX_GLOBAL_ITERS = 3
 
 @dataclass
 class ContextMap:
-    """Per-node logical contexts plus per-function summaries."""
+    """Per-node logical contexts plus per-function summaries.
 
-    pre: dict[int, Context] = field(default_factory=dict)
-    post: dict[int, Context] = field(default_factory=dict)
-    loop_head: dict[int, Context] = field(default_factory=dict)
+    The maps are keyed by the statement objects themselves (AST nodes hash
+    by identity), so a map pickled together with its program, as the
+    artifact cache stores it, still finds every node of the unpickled
+    program.
+    """
+
+    pre: dict[Stmt, Context] = field(default_factory=dict)
+    post: dict[Stmt, Context] = field(default_factory=dict)
+    loop_head: dict[While, Context] = field(default_factory=dict)
     fun_pre: dict[str, Context] = field(default_factory=dict)
     fun_exit: dict[str, Context] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
     def pre_of(self, node: Stmt) -> Context:
-        return self.pre.get(id(node), Context.top())
+        return self.pre.get(node, Context.top())
 
     def post_of(self, node: Stmt) -> Context:
-        return self.post.get(id(node), Context.top())
+        return self.post.get(node, Context.top())
 
     def head_of(self, node: While) -> Context:
-        return self.loop_head.get(id(node), Context.top())
+        return self.loop_head.get(node, Context.top())
 
 
 class _Analyzer:
@@ -100,10 +106,10 @@ class _Analyzer:
 
     def transfer(self, stmt: Stmt, ctx: Context) -> Context:
         if self._record:
-            self.cmap.pre[id(stmt)] = ctx
+            self.cmap.pre[stmt] = ctx
         out = self._transfer(stmt, ctx)
         if self._record:
-            self.cmap.post[id(stmt)] = out
+            self.cmap.post[stmt] = out
         return out
 
     def _transfer(self, stmt: Stmt, ctx: Context) -> Context:
@@ -172,7 +178,7 @@ class _Analyzer:
 
         head = Context(tuple(candidates), False, ctx.integer_vars)
         if self._record:
-            self.cmap.loop_head[id(stmt)] = head
+            self.cmap.loop_head[stmt] = head
             self.transfer(stmt.body, head.assume(stmt.cond))
         return head.assume(stmt.cond.negate())
 

@@ -18,6 +18,7 @@ convex hull but sound.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ _KEY_INTERN: dict[tuple, int] = {}
 _KEY_COUNTER = 0
 _KEY_INTERN_CAP = 16384
 _KEY_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child gets the lock released
+    os.register_at_fork(after_in_child=_KEY_LOCK._at_fork_reinit)
 
 
 @dataclass(frozen=True)

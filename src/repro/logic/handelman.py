@@ -33,6 +33,7 @@ same per-builder term insertion order, same LP row order.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 
 import numpy as np
@@ -54,6 +55,8 @@ MAX_PRODUCTS = 2000
 _BASIS_CACHE: dict[tuple, "CertificateBasis"] = {}
 _BASIS_LOCK = threading.Lock()
 _BASIS_CACHE_CAP = 8192
+if hasattr(os, "register_at_fork"):  # a forked child gets the lock released
+    os.register_at_fork(after_in_child=_BASIS_LOCK._at_fork_reinit)
 
 
 class CertificateBasis:

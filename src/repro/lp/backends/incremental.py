@@ -28,7 +28,6 @@ cascade fails, the last rung hands the rows to
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -111,16 +110,14 @@ class IncrementalBackend(LPBackend):
         self._model_rows = {EQ: 0, GE: 0}
         self._model_ncols = 0
         self._model_box = None
-        # Adaptive warm-start policy.  A valid basis makes HiGHS skip
-        # presolve; on LPs that presolve shrinks drastically (the Handelman
-        # certificate systems are full of singleton columns) a warm solve on
-        # the full-size model can cost as much as a cold one.  We measure
-        # successful runs only: the first warm stage that fails to beat the
-        # cold solve time flips the model to presolve-each-stage mode
-        # (clearSolver before run).  ``_basis_valid`` tracks whether the
-        # HiGHS instance still holds a usable basis (False after builds and
-        # clearSolver, True after an optimal run).
-        self._cold_seconds: float | None = None
+        # Warm-start policy.  Every stage re-solves warm from the previous
+        # optimal basis, until a warm attempt fails (a status, never a
+        # timing): from then on the model presolves every stage
+        # (clearSolver before run).  So the path HiGHS takes, and the
+        # optimal vertex it ends on, depend on the input alone.
+        # ``_basis_valid`` tracks whether the HiGHS instance still holds a
+        # usable basis (False after builds and clearSolver, True after an
+        # optimal run).
         self._avoid_warm = False
         self._basis_valid = False
         # Whether the persistent model currently carries a finite HiGHS
@@ -139,7 +136,6 @@ class IncrementalBackend(LPBackend):
             _model_rows={EQ: 0, GE: 0},
             _model_ncols=0,
             _model_box=None,
-            _cold_seconds=None,
             _avoid_warm=False,
             _basis_valid=False,
             _time_limited=False,
@@ -230,7 +226,6 @@ class IncrementalBackend(LPBackend):
         self._model_rows = {EQ: neq, GE: nge}
         self._model_ncols = n
         self._model_box = box
-        self._cold_seconds = None
         self._avoid_warm = False
         self._basis_valid = False
         self._time_limited = False
@@ -329,9 +324,7 @@ class IncrementalBackend(LPBackend):
                 h.clearSolver()  # discard the basis; presolve runs again
                 self._basis_valid = False
                 warm = False
-            started = time.perf_counter()
             h.run()
-            elapsed = time.perf_counter() - started
             status = h.getModelStatus()
             if (
                 deadline is not None
@@ -344,16 +337,6 @@ class IncrementalBackend(LPBackend):
                     "lp.solve", deadline.elapsed(), deadline.timings
                 )
             if status == _hs.HighsModelStatus.kOptimal:
-                # Only successful runs inform the adaptive policy — failed
-                # attempts have meaningless timings.
-                if not warm:
-                    self._cold_seconds = elapsed
-                elif (
-                    self._cold_seconds is not None
-                    and self._cold_seconds > 0.01
-                    and elapsed > 0.8 * self._cold_seconds
-                ):
-                    self._avoid_warm = True
                 self._basis_valid = True
                 values = np.asarray(h.getSolution().col_value)
                 fun = float(h.getInfo().objective_function_value)

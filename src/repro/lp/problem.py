@@ -111,6 +111,13 @@ class LPProblem:
     def protected_columns(self) -> set[int]:
         return self._protected
 
+    def forget_solves(self) -> None:
+        """Drop what earlier solves left behind: the reduction with its
+        live block models, and the protected columns.  The next solve then
+        runs as the first solve of a freshly derived problem does."""
+        self._reducer = None
+        self._protected.clear()
+
     # -- constraints -------------------------------------------------------------
 
     def add_eq(self, form: AffForm | AffBuilder, note: str = "") -> None:

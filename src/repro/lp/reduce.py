@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.deadline import current_deadline
 from repro.lp.backends.base import EQ, GE, Checkpoint
-from repro.lp.core import LPInfeasibleError, LPSolution
+from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.lp.backends.base import LPBackend
@@ -289,7 +289,7 @@ class ReducedSolver:
     invalidate the reduction entirely).
 
     Thread safety follows the problem façade: callers serialize solves and
-    rollbacks (the pipeline's ``_SOLVE_LOCK`` does).
+    rollbacks (the pipeline holds the owning ``ConstraintSystem``'s lock).
     """
 
     def __init__(self, problem: "LPProblem") -> None:
@@ -836,7 +836,6 @@ class ReducedSolver:
         regularization: float,
     ) -> dict[int, LPSolution]:
         solutions: dict[int, LPSolution] = {}
-        avoid_warm_hint = False
         deadline = current_deadline()
         for lid, block, local_obj in pending:
             if deadline is not None:
@@ -844,18 +843,11 @@ class ReducedSolver:
                 # via the backend, but a long block chain must not overshoot
                 # the budget by a whole block.
                 deadline.check("lp.block")
-            if avoid_warm_hint and hasattr(block.backend, "_avoid_warm"):
-                # A sibling block just learned that warm re-solves lose to
-                # presolved cold solves on this reduced core; blocks of one
-                # system behave alike, so spare the others the lesson.
-                block.backend._avoid_warm = True
             started = time.perf_counter()
             solutions[lid] = block.backend.solve(
                 block.shim, local_obj, 0.0, minimize, bound, regularization
             )
             self.last_block_seconds.append((lid, time.perf_counter() - started))
-            if getattr(block.backend, "_avoid_warm", False):
-                avoid_warm_hint = True
         return solutions
 
     def _postsolve(self, values: np.ndarray, bound: float) -> list[int]:
@@ -892,8 +884,10 @@ class ReducedSolver:
         directed away from its box end.  The reported stage objective stays
         the first solve's exact optimum; only the *witness point* moves,
         toward the interior vertices that lift into the unreduced variable
-        space.  Failures leave ``values`` as they were — the caller falls
-        back to protection + recompute.
+        space.  A solver failure (:class:`LPError`) leaves ``values`` as they
+        were — the caller falls back to protection + recompute; anything
+        else, an :class:`~repro.deadline.AnalysisTimeout` included,
+        propagates.
         """
         for block in self._live:
             block_values = values[block.gcols]
@@ -915,7 +909,7 @@ class ReducedSolver:
                 cleanup = backend.solve(
                     block.shim, cleanup_obj, 0.0, True, bound, regularization
                 )
-            except Exception:
+            except LPError:
                 continue  # keep the original vertex; the caller re-checks
             finally:
                 backend.rollback(checkpoint)

@@ -28,6 +28,7 @@ primitives.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Callable
 
@@ -42,6 +43,8 @@ _PLAN_LOCK = threading.Lock()
 #: Plans are tiny (a handful of cached rows each); the cap only guards
 #: against pathological workloads with unbounded distinct assignments.
 _PLAN_CACHE_CAP = 4096
+if hasattr(os, "register_at_fork"):  # a forked child gets the lock released
+    os.register_at_fork(after_in_child=_PLAN_LOCK._at_fork_reinit)
 
 
 def clear_plan_caches() -> None:

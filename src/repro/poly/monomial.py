@@ -23,6 +23,7 @@ receiving process.
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 
 
@@ -175,6 +176,8 @@ class _InternTable:
 
 
 _TABLE = _InternTable()
+if hasattr(os, "register_at_fork"):  # a forked child gets the lock released
+    os.register_at_fork(after_in_child=_TABLE.lock._at_fork_reinit)
 
 
 def intern_id(mono: Monomial) -> int:

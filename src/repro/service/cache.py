@@ -48,7 +48,13 @@ from repro.lang.printer import canonical_program
 #: small same-shape blocks, which moves solution vertices on degenerate
 #: optimal faces (bounds agree to solver tolerance, bytes differ); results
 #: also carry ``restart_bound``.
-CACHE_FORMAT = 3
+#: 4: no wall-clock warm-start rule — every block re-solves warm until a
+#: warm attempt fails, which moves the optimal vertex of a few degenerate
+#: stages (``rdwalk_chain(2)`` at m=4 among them); the keys are unchanged,
+#: so old entries would still serve the old bounds.  Context maps are keyed
+#: by AST node objects, so a ``base`` bundle read back from disk finds its
+#: contexts (older bundles found none).
+CACHE_FORMAT = 4
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 
@@ -170,10 +176,12 @@ class ArtifactCache:
         self, program_hash: str, stage: str, options_key: tuple, payload: object
     ) -> None:
         key = self.artifact_key(program_hash, stage, options_key)
+        # Pickle before publishing: once in memory, another thread may start
+        # solving a constraint system, and its cut rows must not be pickled.
+        self._write_disk(key, stage, payload)
         with self._lock:
             self.stats.writes += 1
             self._remember(key, payload)
-        self._write_disk(key, stage, payload)
 
     def _remember(self, key: str, payload: object) -> None:
         # Caller holds self._lock.

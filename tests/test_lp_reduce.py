@@ -514,3 +514,37 @@ class TestOverlaySemantics:
         assert spans, "certificate emission must record λ spans"
         covered = sum(count for _, count in spans)
         assert covered == len(system.lp.nonneg_indices)
+
+
+class TestCleanupPass:
+    def test_a_timeout_inside_a_cleanup_solve_propagates(self, monkeypatch):
+        """The cleanup pass keeps the original vertex only on a solver
+        failure (``LPError``); a deadline expiring in one of its solves
+        ends the analysis like any other timeout."""
+        from repro.deadline import AnalysisTimeout
+        from repro.lp.backends import IncrementalBackend
+        from repro.programs.synthetic import coupon_chain
+
+        cleanups = []
+        cleaning = []
+        cleanup_riders = ReducedSolver._cleanup_riders
+        backend_solve = IncrementalBackend.solve
+
+        def cleanup(self, *args):
+            cleanups.append(True)
+            cleaning.append(True)
+            try:
+                return cleanup_riders(self, *args)
+            finally:
+                cleaning.pop()
+
+        def solve(self, *args):
+            if cleaning:
+                raise AnalysisTimeout("lp.solve", 0.0)
+            return backend_solve(self, *args)
+
+        monkeypatch.setattr(ReducedSolver, "_cleanup_riders", cleanup)
+        monkeypatch.setattr(IncrementalBackend, "solve", solve)
+        with pytest.raises(AnalysisTimeout):
+            analyze(coupon_chain(4), AnalysisOptions(moment_degree=4))
+        assert cleanups

@@ -1,6 +1,7 @@
 """Tests for the staged analysis pipeline and the batch driver."""
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -63,6 +64,36 @@ class TestStageCaching:
         assert result_a.raw_interval(1, {"d": 10.0, "x": 0.0, "t": 0.0}).hi > 0
         assert result_b.raw_interval(1, {"d": 20.0, "x": 0.0, "t": 0.0}).hi > 0
 
+    def test_constraint_system_pickles_with_a_fresh_lock(self, pipe):
+        """The system stage stays disk-cacheable: the pickle leaves the
+        lock behind and the copy gets its own."""
+        import pickle
+
+        system = pipe.constraint_system(AnalysisOptions(moment_degree=2))
+        with system.lock:
+            clone = pickle.loads(pickle.dumps(system))
+        assert not clone.lock.locked()
+        assert clone.num_constraints == system.num_constraints
+
+    def test_cached_system_resolves_like_a_fresh_one(self):
+        """A solve at one valuation leaves protected columns and a
+        reduction behind on the cached system; a later solve at another
+        valuation must not inherit them."""
+        bench = registry.get("timing-t0")
+        registered = AnalysisOptions(
+            objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations)
+        )
+        pipe = AnalysisPipeline(registry.parsed("timing-t0"))
+        pipe.analyze(AnalysisOptions())  # the automatic valuations first
+        again = pipe.analyze(registered)
+        fresh = AnalysisPipeline(registry.parsed("timing-t0")).analyze(registered)
+
+        def untimed(stats):
+            return {k: v for k, v in stats.items() if not k.endswith("_seconds")}
+
+        assert _fingerprint(again) == _fingerprint(fresh)
+        assert untimed(again.lp_reduction) == untimed(fresh.lp_reduction)
+
     def test_repeated_analyze_hits_the_solution_cache(self, pipe):
         opts = AnalysisOptions(moment_degree=2)
         first = pipe.analyze(opts)
@@ -91,19 +122,23 @@ class TestStageCaching:
         assert via_pipe.objective_values == pytest.approx(one_shot.objective_values)
 
 
-def _registry_workload():
-    """The 42 registry programs at their registered options."""
+def _registry_workload(shift: float = 0.0):
+    """The 42 registry programs at their registered options, with every
+    objective valuation moved by ``shift`` in each variable."""
     workload = {}
     for name in sorted(registry.all_benchmarks()):
         bench = registry.get(name)
+        valuations = (bench.valuation,) + tuple(bench.extra_valuations)
         workload[name] = (
             registry.parsed(name),
             AnalysisOptions(
                 moment_degree=bench.moment_degree,
                 template_degree=bench.template_degree,
                 degree_cap=bench.degree_cap,
-                objective_valuations=(bench.valuation,)
-                + tuple(bench.extra_valuations),
+                objective_valuations=tuple(
+                    {v: x + shift for v, x in valuation.items()}
+                    for valuation in valuations
+                ),
             ),
         )
     return workload
@@ -143,23 +178,57 @@ class TestRegistryBatch:
             assert _fingerprint(item.result) == expected[item.name], item.name
 
 
-def _analyze_rdwalk_and_exit():
-    AnalysisPipeline(parse_program(RDWALK)).analyze(AnalysisOptions(moment_degree=1))
+#: Analysed only by forked children: its variable names, contexts and
+#: templates are new to the parent, so the child interns monomials,
+#: context keys, certificate bases and substitution plans of its own.
+FORK_ONLY = """
+func hop() pre(qz < qw + 3) begin
+  if qz < qw then
+    qs ~ uniform(0, 2);
+    qz := qz + qs;
+    call hop;
+    tick(2)
+  fi
+end
+
+func main() pre(qw > 1) begin
+  qz := 0;
+  call hop
+end
+"""
+
+
+def _analyze_fork_only_program():
+    AnalysisPipeline(parse_program(FORK_ONLY)).analyze(
+        AnalysisOptions(moment_degree=2)
+    )
+
+
+def _module_lock(name):
+    from repro.logic import context, handelman
+    from repro.poly import kernel, monomial
+
+    return {
+        "monomial": monomial._TABLE.lock,
+        "kernel": kernel._PLAN_LOCK,
+        "handelman": handelman._BASIS_LOCK,
+        "context": context._KEY_LOCK,
+    }[name]
 
 
 class TestConcurrentSolves:
-    def test_forked_child_gets_a_free_solve_lock(self):
-        """A worker forked while another thread holds the solve lock (the
-        server respawning a fleet worker mid-request) must still solve."""
+    @pytest.mark.parametrize("name", ["monomial", "kernel", "handelman", "context"])
+    def test_forked_child_gets_free_module_locks(self, name):
+        """A worker forked while another thread holds a module lock (the
+        server respawning a fleet worker mid-request) must still analyse
+        a program that needs that lock."""
         import multiprocessing
 
-        from repro.analysis import pipeline
-
         ctx = multiprocessing.get_context("fork")
-        with pipeline._SOLVE_LOCK:
-            child = ctx.Process(target=_analyze_rdwalk_and_exit)
+        with _module_lock(name):
+            child = ctx.Process(target=_analyze_fork_only_program)
             child.start()
-        child.join(timeout=60)
+        child.join(timeout=30)
         if child.is_alive():
             child.kill()
             child.join()
@@ -169,7 +238,6 @@ class TestConcurrentSolves:
         import threading
         import time
 
-        from repro.analysis import pipeline
         from repro.deadline import AnalysisTimeout
 
         options = AnalysisOptions(
@@ -178,7 +246,7 @@ class TestConcurrentSolves:
             objective_valuations=({"d": 10.0, "x": 0.0, "t": 0.0},),
         )
         pipe = AnalysisPipeline(parse_program(RDWALK))
-        pipe.constraint_system(options)  # derived outside the budget
+        system = pipe.constraint_system(options)  # derived outside the budget
         stages = []
 
         def analyze_with_deadline():
@@ -187,7 +255,7 @@ class TestConcurrentSolves:
             except AnalysisTimeout as exc:
                 stages.append(exc.stage)
 
-        with pipeline._SOLVE_LOCK:  # another thread mid-solve
+        with system.lock:  # another thread mid-solve of this system
             waiter = threading.Thread(target=analyze_with_deadline)
             waiter.start()
             time.sleep(0.6)
@@ -205,11 +273,60 @@ class TestConcurrentSolves:
             program, options = workload[name]
             return _fingerprint(AnalysisPipeline(program).analyze(options))
 
-        for _ in range(3):
+        for _ in range(6):
             with ThreadPoolExecutor(max_workers=4) as pool:
                 got = dict(zip(workload, pool.map(fingerprint, workload)))
             moved = [name for name in workload if got[name] != expected[name]]
             assert not moved
+
+    def test_threads_sharing_a_cache_get_sequential_bounds(self, registry_reference):
+        """Threads on pipelines that share one artifact cache (``repro
+        serve``'s ``/analyze`` next to an inline ``/batch``) solve the same
+        constraint system objects, each program at two valuations; every
+        answer is the one a fresh sequential ``analyze`` gives."""
+        from repro.service.cache import ArtifactCache
+
+        workloads = {0.0: registry_reference[0], 1.0: _registry_workload(1.0)}
+        expected = {(0.0, name): fp for name, fp in registry_reference[1].items()}
+        expected.update(
+            ((1.0, name), _fingerprint(analyze(program, options)))
+            for name, (program, options) in workloads[1.0].items()
+        )
+        cache = ArtifactCache(disk=False)
+
+        def fingerprint(task):
+            shift, name = task
+            program, options = workloads[shift][name]
+            return _fingerprint(
+                AnalysisPipeline(program, artifacts=cache).analyze(options)
+            )
+
+        tasks = [(shift, name) for name in registry_reference[0] for shift in (0.0, 1.0)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = dict(zip(tasks, pool.map(fingerprint, tasks)))
+        finally:
+            sys.setswitchinterval(interval)
+        moved = [task for task in tasks if got[task] != expected[task]]
+        assert not moved
+
+    def test_bounds_do_not_read_the_clock(self, monkeypatch):
+        """The solve path takes no decision on a timing: a frozen clock and
+        one that steps a whole second per reading give the same bounds."""
+        import itertools
+        import time
+
+        from repro.programs.synthetic import rdwalk_chain
+
+        program = rdwalk_chain(2)
+        options = AnalysisOptions(moment_degree=4)
+        fingerprints = []
+        for clock in (lambda: 0.0, itertools.count().__next__):
+            monkeypatch.setattr(time, "perf_counter", clock)
+            fingerprints.append(_fingerprint(analyze(program, options)))
+        assert fingerprints[0] == fingerprints[1]
 
 
 class TestSolverMetadata:

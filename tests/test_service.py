@@ -187,6 +187,23 @@ class TestCachedPipeline:
         assert warm_cache.stats.misses == 0
         assert warm.summary() == cold.summary()
 
+    def test_contexts_loaded_from_disk_derive_like_fresh_ones(self, tmp_path):
+        """New options re-derive from the static bundle another process
+        left on disk: its context map must still find every node of the
+        AST it was pickled with."""
+        AnalysisPipeline(parse_program(RDWALK), artifacts=ArtifactCache(tmp_path)).analyze(OPTS)
+        changed = AnalysisOptions(
+            moment_degree=3, objective_valuations=OPTS.objective_valuations
+        )
+        cache = ArtifactCache(tmp_path)
+        warm = AnalysisPipeline(parse_program(RDWALK), artifacts=cache).analyze(changed)
+        assert cache.stats.disk_hits >= 1  # the static bundle among them
+        fresh = analyze(parse_program(RDWALK), changed)
+        assert warm.objective_values == fresh.objective_values
+        assert [(i.lo, i.hi) for i in warm.raw_intervals()] == [
+            (i.lo, i.hi) for i in fresh.raw_intervals()
+        ]
+
     def test_option_change_misses_program_edit_misses(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         AnalysisPipeline(parse_program(RDWALK), artifacts=cache).analyze(OPTS)

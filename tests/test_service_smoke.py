@@ -11,11 +11,15 @@ Two tiers:
   200-job mix over HTTP, SIGKILL a worker mid-job and assert the lease is
   retried, SIGTERM the server mid-queue and restart it asserting queued
   jobs resume, and scrape ``/metrics`` asserting depth and latency keys.
-  Zero jobs may be lost.
+  Zero jobs may be lost.  Its concurrency drill runs ``repro serve``
+  without a fleet: concurrent ``/analyze`` and inline ``/batch`` clients
+  share constraint systems through the server's artifact cache and must
+  get the answers a single client gets.
 """
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -27,8 +31,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import AnalysisOptions
+from repro.programs import registry
 from repro.service.cache import ArtifactCache
-from repro.service.jobs import WorkerPool
+from repro.service.jobs import WorkerPool, options_to_dict
 from repro.service.server import make_server
 from repro.service.store import JobStore
 
@@ -72,6 +78,30 @@ def _post(port, path, body, timeout=30.0):
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return json.loads(response.read())
+
+
+def _post_any(port, path, body, timeout=120.0):
+    """(HTTP status, JSON body), error statuses included."""
+    try:
+        return 200, _post(port, path, body, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def _without_timings(doc):
+    """``doc`` minus every ``*_seconds`` field and the solve time that a
+    result summary prints in its first line."""
+    if isinstance(doc, dict):
+        return {
+            key: _without_timings(value)
+            for key, value in doc.items()
+            if not key.endswith("_seconds")
+        }
+    if isinstance(doc, (list, tuple)):
+        return [_without_timings(value) for value in doc]
+    if isinstance(doc, str):
+        return re.sub(r", \d+\.\d+s\)", ")", doc)
+    return doc
 
 
 def _get(port, path, timeout=30.0):
@@ -160,6 +190,9 @@ def _boot_serve(
 ):
     """Start ``repro serve`` on an ephemeral port, return (proc, port).
 
+    ``db=None`` starts it without a job store or fleet, so ``/batch``
+    runs inline in its handler thread.
+
     With ``REPRO_SERVICE_LOG_DIR`` set (the CI smoke leg does), all server
     output is mirrored to ``serve-<n>.log`` there so failures upload the
     full transcript as an artifact.  ``env_extra`` entries (the chaos
@@ -181,11 +214,14 @@ def _boot_serve(
     argv = [
         sys.executable, "-m", "repro", "serve",
         "--port", "0",
-        "--db", str(db),
-        "--workers", str(workers),
-        "--visibility", str(visibility),
         "--cache-dir", str(cache_dir),
     ]
+    if db is not None:
+        argv += [
+            "--db", str(db),
+            "--workers", str(workers),
+            "--visibility", str(visibility),
+        ]
     if job_timeout is not None:
         argv += ["--job-timeout", str(job_timeout)]
     proc = subprocess.Popen(
@@ -373,6 +409,80 @@ class TestServiceSmoke:
         except BaseException:
             proc.kill()
             raise
+
+
+    def test_concurrent_clients_get_single_client_answers(self, tmp_path):
+        """Four clients POST ``/analyze`` for the registry programs while a
+        fifth POSTs them as one ``/batch``, on a server with its artifact
+        cache and no fleet: the inline batch's pipelines and the warm
+        ``/analyze`` pipelines solve the same constraint systems.  Every
+        answer equals a single client's answer from a fresh server, in
+        each of 5 rounds."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        benches = sorted(registry.all_benchmarks().items())
+        names = [name for name, _ in benches]
+        analyze_bodies = {
+            name: {
+                "program": bench.source,
+                "options": options_to_dict(AnalysisOptions(
+                    moment_degree=bench.moment_degree,
+                    template_degree=bench.template_degree,
+                    degree_cap=bench.degree_cap,
+                    objective_valuations=(bench.valuation,)
+                    + tuple(bench.extra_valuations),
+                )),
+            }
+            for name, bench in benches
+        }
+        batch_body = {"programs": {name: bench.source for name, bench in benches}}
+
+        def client(port, offset):
+            order = names[offset:] + names[:offset]
+            return {
+                name: _without_timings(
+                    _post_any(port, "/analyze", analyze_bodies[name])
+                )
+                for name in order
+            }
+
+        def batch(port):
+            return _without_timings(_post_any(port, "/batch", batch_body))
+
+        def on_fresh_server(directory, work):
+            proc, port, _sink = _boot_serve(None, directory / "cache")
+            try:
+                answers = work(port)
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=60.0) == 0
+            except BaseException:
+                proc.kill()
+                raise
+            return answers
+
+        def one_client(port):
+            return client(port, 0), batch(port)
+
+        def five_clients(port):
+            started = time.perf_counter()
+            with ThreadPoolExecutor(max_workers=5) as pool:
+                batched = pool.submit(batch, port)
+                analyses = [
+                    pool.submit(client, port, i * len(names) // 4) for i in range(4)
+                ]
+                answers = [f.result() for f in analyses], batched.result()
+            print(f"drill: round took {time.perf_counter() - started:.2f}s")
+            return answers
+
+        expected, expected_batch = on_fresh_server(tmp_path / "reference", one_client)
+        assert all(status == 200 for status, _ in expected.values())
+        assert expected_batch[0] == 200
+        for round_no in range(5):
+            analyses, batched = on_fresh_server(tmp_path / f"round{round_no}", five_clients)
+            for got in analyses:
+                moved = [name for name in names if got[name] != expected[name]]
+                assert not moved, f"round {round_no}: /analyze moved {moved}"
+            assert batched == expected_batch, f"round {round_no}: /batch moved"
 
 
 # ---------------------------------------------------------------------------
