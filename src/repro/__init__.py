@@ -48,8 +48,8 @@ _EXPORTS = {
     "BatchRunResult": "repro.interp.vectorized",
     "VectorizedMachine": "repro.interp.vectorized",
     "parse_program": "repro.lang.parser",
-    "LPError": "repro.lp.problem",
-    "LPInfeasibleError": "repro.lp.problem",
+    "LPError": "repro.lp.core",
+    "LPInfeasibleError": "repro.lp.core",
     "Interval": "repro.rings.interval",
     "MomentVector": "repro.rings.moment",
     "raw_to_central": "repro.rings.moment",

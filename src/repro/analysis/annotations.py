@@ -26,16 +26,18 @@ floats, same key order) to the chain it replaces, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.lang.ast import Distribution
 from repro.lp.affine import AffForm
-from repro.lp.problem import LPProblem
 from repro.poly.kernel import ExpectationPlan, TermAccumulator, substitution_plan
 from repro.poly.monomial import monomials_up_to_degree
 from repro.poly.polynomial import Polynomial
 from repro.rings.interval import Interval
 from repro.rings.moment import binomial
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lp.problem import LPProblem
 
 
 def _accumulate_interval(sources) -> "PolyInterval":

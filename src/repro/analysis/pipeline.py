@@ -12,7 +12,7 @@ constraint derivation ``ConstraintSystem``       (m, d, upper_only, unit_cost,
                                                   degree_cap)
 LP solving            ``StageSolution``          (the above + valuations,
                                                   lexicographic, lp_bound)
-resolution            ``MomentBoundResult``      (not cached: cheap)
+resolution            ``MomentBoundResult``      (the above + check_soundness)
 ====================  =========================================================
 
 An :class:`AnalysisPipeline` instance owns the caches for one program, so a
@@ -25,6 +25,16 @@ constraint system pristine for the next objective.
 ``analyze`` is the one-shot convenience wrapper (re-exported as
 ``repro.analyze``); :func:`repro.service.executor.run_batch` runs a named
 workload of programs, in this process or on worker processes.
+
+Imports: a result read back from an artifact store needs only the result
+types, so this module imports the stage machinery where a cache miss first
+computes — static and context analysis in the ``compute`` of
+:meth:`AnalysisPipeline._base`, numpy, the LP layer and derivation in
+:meth:`AnalysisPipeline._derive_system`, numpy and HiGHS in
+:func:`_feasible_point`.  A warm ``repro analyze --cache-dir`` loads none
+of them.  Code that forks analysis workers imports
+:mod:`repro.analysis.transformer` (which loads the rest) before the fork,
+so each worker starts with the stages loaded.
 
 Concurrency: bounds depend on the program and the options alone.  No
 solve decision reads a clock, so analyses on concurrent threads get the
@@ -51,16 +61,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.analysis.annotations import MomentAnnotation
 from repro.analysis.results import (
     FunctionBound,
     MomentBoundResult,
     resolve_annotation,
 )
-from repro.analysis.specs import SpecTable
-from repro.analysis.transformer import Deriver
 from repro import faults
 from repro.deadline import (
     AnalysisTimeout,
@@ -69,16 +75,15 @@ from repro.deadline import (
     deadline_scope,
 )
 from repro.lang.ast import Program
-from repro.lang.varinfo import ProgramInfo, analyze_program as static_info
-from repro.logic.absint import ContextMap, compute_contexts
-from repro.logic.context import Context
 from repro.lp.affine import AffForm
-from repro.lp.backends import IncrementalBackend
-from repro.lp.backends.highs_core import scipy_highs_core
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
-from repro.lp.problem import LPProblem
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.specs import SpecTable
+    from repro.lang.varinfo import ProgramInfo
+    from repro.logic.absint import ContextMap
+    from repro.logic.context import Context
+    from repro.lp.problem import LPProblem
     from repro.service.cache import ArtifactCache
 
 
@@ -288,7 +293,10 @@ class AnalysisPipeline:
         if self._info is None or self._cmap is None:
 
             def compute():
-                info = static_info(self.program)
+                from repro.lang.varinfo import analyze_program
+                from repro.logic.absint import compute_contexts
+
+                info = analyze_program(self.program)
                 return self.program, info, compute_contexts(self.program, info)
 
             program, info, cmap = self._shared("base", (), compute)
@@ -317,6 +325,11 @@ class AnalysisPipeline:
         return system
 
     def _derive_system(self, options: AnalysisOptions, key: tuple) -> ConstraintSystem:
+        from repro.analysis.specs import SpecTable
+        from repro.analysis.transformer import Deriver
+        from repro.lp.backends import IncrementalBackend
+        from repro.lp.problem import LPProblem
+
         start = time.perf_counter()
         info = self.static_info()
         cmap = self.context_map()
@@ -628,6 +641,10 @@ def _feasible_point(ctx: Context) -> dict[str, float]:
     variables = sorted(ctx.variables())
     if not variables or ctx.bottom:
         return {v: 1.0 for v in variables}
+    import numpy as np
+
+    from repro.lp.backends.highs_core import scipy_highs_core
+
     hs = scipy_highs_core()
     index = {v: i for i, v in enumerate(variables)}
     n, m = len(variables), len(ctx.ineqs)
@@ -764,7 +781,7 @@ def _lexicographic_solve(
         for obj in stage_objectives:
             total = total + obj
         solution = lp.solve(total, bound=options.lp_bound)
-        return solution, [solution.objective], [solution.status], [1.0], [0.0]
+        return solution, [float(solution.objective)], [solution.status], [1.0], [0.0]
 
     solution = None
     objective_values: list[float] = []
@@ -789,7 +806,7 @@ def _lexicographic_solve(
             # fully solved so the degradation ladder can start there.
             exc.lex_completed = len(objective_values)
             raise
-        objective_values.append(solution.objective * scale)
+        objective_values.append(float(solution.objective * scale))
         statuses.append(solution.status)
         scales.append(scale)
         if stage < len(stage_objectives) - 1:
@@ -801,7 +818,7 @@ def _lexicographic_solve(
             applied = lp.pin_objective(
                 scaled, solution.objective, tolerance, note=f"lex.cut{stage + 1}"
             )
-            tolerances.append(applied * scale)
+            tolerances.append(float(applied * scale))
         else:
             tolerances.append(0.0)
     if solution is None:

@@ -22,7 +22,7 @@ def resolve_polynomial(poly: Polynomial, values) -> Polynomial:
     resolved = poly.map_coefficients(resolve_coeff)
     # Drop numeric noise from the LP solution.
     cleaned = {
-        mono: (0.0 if abs(c) < 1e-9 else round(c, 9))
+        mono: (0.0 if abs(c) < 1e-9 else float(round(c, 9)))
         for mono, c in resolved.coeffs.items()
     }
     return Polynomial(cleaned)

@@ -145,6 +145,18 @@ def configure(text: "str | None" = None) -> None:
     _armed = bool(specs)
 
 
+def _reinit_locks_in_child() -> None:
+    """A forked child gets every armed spec's lock released: a thread of
+    the parent may have held one at the fork."""
+    for specs in _specs.values():
+        for spec in specs:
+            spec.lock._at_fork_reinit()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reinit_locks_in_child)
+
+
 def armed() -> bool:
     return _armed
 

@@ -8,10 +8,12 @@ problem module imports the backends, not vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.lp.affine import LinVar
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class LPError(Exception):

@@ -54,7 +54,10 @@ from repro.lang.printer import canonical_program
 #: so old entries would still serve the old bounds.  Context maps are keyed
 #: by AST node objects, so a ``base`` bundle read back from disk finds its
 #: contexts (older bundles found none).
-CACHE_FORMAT = 4
+#: 5: results hold plain Python floats, not numpy scalars, so reading one
+#: back loads no numpy; a v4 result would still load numpy and print the
+#: coefficients numpy rounded.
+CACHE_FORMAT = 5
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 

@@ -211,6 +211,10 @@ def _run_processes(workload, max_workers, cache, report) -> None:
         # worker's ArtifactCache re-derives ``v<format>`` itself.
         cache_dir = str(cache.directory.parent)
         disk = True
+    # The pipeline imports its stage modules on a first cache miss; load
+    # them here, so the forked workers start with them loaded.
+    from repro.analysis import transformer  # noqa: F401
+
     with ProcessPoolExecutor(
         max_workers=max_workers,
         initializer=_init_worker,

@@ -605,6 +605,10 @@ class WorkerPool:
     def _spawn(self, worker_id: int):
         import multiprocessing
 
+        # The pipeline imports its stage modules on a first cache miss;
+        # load them here, so a forked worker starts with them loaded.
+        from repro.analysis import transformer  # noqa: F401
+
         proc = multiprocessing.Process(
             target=worker_main,
             args=(self.db_path, worker_id, self.cache_dir),

@@ -16,13 +16,15 @@ Cache keys do not name the path, so each run needs a fresh pipeline.
 from functools import partialmethod
 from unittest import mock
 
-import repro.analysis.pipeline as pipeline
+import repro.lp.backends as backends
 from repro.lp.backends import ScipyDenseBackend
 from repro.lp.problem import LPProblem
 
 
 def dense_backend():
-    return mock.patch.object(pipeline, "IncrementalBackend", ScipyDenseBackend)
+    # The pipeline imports ``IncrementalBackend`` from this package when it
+    # derives, so the patch lands on the package attribute.
+    return mock.patch.object(backends, "IncrementalBackend", ScipyDenseBackend)
 
 
 def direct_solves():

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -202,20 +203,53 @@ class TestBatchExitCode:
         assert "FAILED" not in out.getvalue()
 
 
-#: Runs ``repro.cli.run(argv)`` in a fresh interpreter, then reports whether
-#: ``scipy.optimize`` was ever imported.  No argv: only ``import repro.cli``.
-_PROBE = """
-import sys
+#: What a cache miss loads and a cache hit must not: numpy, either HiGHS
+#: binding, the LP layer, derivation and the abstract interpreter.
+STAGE_MODULES = (
+    "numpy",
+    "highspy",
+    "scipy.optimize._highspy._core",
+    "repro.lp.problem",
+    "repro.lp.reduce",
+    "repro.analysis.transformer",
+    "repro.logic.absint",
+)
+HIGHS_BINDINGS = ("highspy", "scipy.optimize._highspy._core")
+
+#: Runs ``repro.cli.run(argv)`` in a fresh interpreter, then reports the exit
+#: code, whether ``scipy.optimize`` was ever imported and which
+#: ``STAGE_MODULES`` are loaded.  No argv: only ``import repro.cli``.
+_PROBE = f"""
+import json, sys
 from repro.cli import run
 code = run(sys.argv[1:]) if sys.argv[1:] else 0
-print("scipy.optimize loaded:", "scipy.optimize" in sys.modules, "exit:", code)
+print(json.dumps({{
+    "exit": code,
+    "scipy.optimize": "scipy.optimize" in sys.modules,
+    "loaded": [m for m in {STAGE_MODULES!r} if m in sys.modules],
+}}))
 """
+
+LOADS_NOTHING = {"exit": 0, "scipy.optimize": False, "loaded": []}
+
+
+def _is_cold(report) -> bool:
+    """A cold analysis exits 0 without ``scipy.optimize`` and loads every
+    stage module and one HiGHS binding (``highspy`` where installed, else
+    scipy's copy)."""
+    loaded = set(report["loaded"])
+    return (
+        report["exit"] == 0
+        and not report["scipy.optimize"]
+        and set(STAGE_MODULES) - set(HIGHS_BINDINGS) <= loaded
+        and bool(loaded & set(HIGHS_BINDINGS))
+    )
 
 
 class TestStartup:
     """No default path imports ``scipy.optimize``: entailment is exact in
     rationals and the Chebyshev LP runs on scipy's HiGHS ``_core``, loaded
-    by file path."""
+    by file path.  A result-cache hit loads none of ``STAGE_MODULES``."""
 
     @staticmethod
     def _probe(tmp_path, *argv):
@@ -229,7 +263,8 @@ class TestStartup:
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip().splitlines()[-1], proc.stdout
+        *printed, last = proc.stdout.strip().splitlines()
+        return json.loads(last), "\n".join(printed)
 
     @pytest.fixture()
     def registry_file(self, tmp_path):
@@ -243,32 +278,38 @@ class TestStartup:
         return write
 
     def test_import_cli(self, tmp_path):
-        last, _ = self._probe(tmp_path)
-        assert last == "scipy.optimize loaded: False exit: 0"
+        report, _ = self._probe(tmp_path)
+        assert report == LOADS_NOTHING
 
     def test_cold_and_warm_analyze(self, tmp_path, registry_file):
         # absynth-rdbub asks 105 entailment queries.
         path = registry_file("absynth-rdbub")
         argv = ["analyze", path, "--degree", "2", "--at", "n=8,i=0,j=0",
                 "--cache-dir", str(tmp_path / "cache")]
-        cold_last, cold = self._probe(tmp_path, *argv)
-        assert cold_last == "scipy.optimize loaded: False exit: 0"
-        warm_last, warm = self._probe(tmp_path, *argv)
-        assert warm_last == cold_last
+        cold_report, cold = self._probe(tmp_path, *argv)
+        assert _is_cold(cold_report), cold_report
+        warm_report, warm = self._probe(tmp_path, *argv)
+        assert warm_report == LOADS_NOTHING
         assert "E[C^1]" in warm
+        assert warm == cold
 
     def test_automatic_valuation(self, tmp_path, registry_file):
-        # No --at: main's pre-condition runs the Chebyshev-point LP.
-        last, out = self._probe(
-            tmp_path, "analyze", registry_file("absynth-2drdwalk")
-        )
-        assert last == "scipy.optimize loaded: False exit: 0"
-        assert "E[C^1]" in out
+        # No --at: main's pre-condition runs the Chebyshev-point LP, and a
+        # warm run reads the point back from the cache.
+        argv = ["analyze", registry_file("absynth-2drdwalk"),
+                "--cache-dir", str(tmp_path / "cache")]
+        cold_report, cold = self._probe(tmp_path, *argv)
+        assert _is_cold(cold_report), cold_report
+        assert "scipy.optimize._highspy._core" in cold_report["loaded"]
+        assert "E[C^1]" in cold
+        warm_report, warm = self._probe(tmp_path, *argv)
+        assert warm_report == LOADS_NOTHING
+        assert warm == cold
 
     def test_jobs_status(self, tmp_path, source_file):
         db = str(tmp_path / "jobs.sqlite3")
         assert run(["jobs", "enqueue", source_file, "--db", db], out=io.StringIO()) == 0
-        last, out = self._probe(tmp_path, "jobs", "status", "1", "--db", db)
-        assert last == "scipy.optimize loaded: False exit: 0"
+        report, out = self._probe(tmp_path, "jobs", "status", "1", "--db", db)
+        assert report == LOADS_NOTHING
         assert "queued" in out
 

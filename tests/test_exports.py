@@ -41,23 +41,38 @@ def test_star_import(package):
 def test_exports_are_the_defining_objects():
     from repro.analysis.pipeline import analyze
     from repro.lp.backends.scipy_dense import ScipyDenseBackend
+    from repro.lp.core import LPError
     from repro.service.store import JobStore
     from repro.soundness.checker import check_soundness
 
     assert repro.analyze is analyze
     assert repro.check_soundness is check_soundness
+    assert repro.LPError is LPError
     assert backends.ScipyDenseBackend is ScipyDenseBackend
     assert service.JobStore is JobStore
 
 
-def test_import_repro_loads_only_the_export_helper():
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('repro')))"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['repro', 'repro.lazy']"
+    return proc.stdout.strip()
+
+
+def test_import_repro_loads_only_the_export_helper():
+    assert _fresh(
+        "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('repro')))"
+    ) == "['repro', 'repro.lazy']"
+
+
+def test_lp_errors_resolve_without_numpy():
+    assert _fresh(
+        "import sys, repro; repro.LPError; repro.LPInfeasibleError; "
+        "print('numpy' in sys.modules)"
+    ) == "False"

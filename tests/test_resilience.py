@@ -214,6 +214,30 @@ class TestFaults:
         faults.check("cache.write")  # corrupt mode only applies to data
         assert faults.counters() == {}
 
+    def test_forked_child_gets_free_fault_locks(self):
+        """A fleet worker forked while a handler thread draws from an
+        armed spec's RNG must still visit that fault point."""
+        import multiprocessing
+
+        faults.configure("cache.read:raise:0.5:7")
+        (spec,) = faults._specs["cache.read"]
+        ctx = multiprocessing.get_context("fork")
+        with spec.lock:
+            child = ctx.Process(target=_visit_cache_read)
+            child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+
+def _visit_cache_read():
+    try:
+        faults.check("cache.read")
+    except faults.FaultInjected:
+        pass
+
 
 # ---------------------------------------------------------------------------
 # Parity and the degradation ladder

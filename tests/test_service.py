@@ -1,13 +1,20 @@
 """Tests for the analysis service layer: artifact cache, batch executor,
 HTTP server, and the canonical program form that content-addresses it all."""
 
+import io
 import json
 import multiprocessing
+import os
 import pickle
+import pickletools
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +258,45 @@ class TestCachedPipeline:
         )
 
 
+def _numpy_references(blob: bytes) -> list[str]:
+    """Strings of a pickle that name a numpy module: a ``GLOBAL``'s
+    ``module name`` argument, or the module pushed for a ``STACK_GLOBAL``."""
+    return [
+        arg for _, arg, _ in pickletools.genops(blob)
+        if isinstance(arg, str) and arg.split(" ")[0].split(".")[0] == "numpy"
+    ]
+
+
+class TestPlainArtifacts:
+    def test_results_and_valuations_pickle_no_numpy(self, tmp_path):
+        """A cache hit reads these two stages back; a numpy scalar in
+        either would load numpy on every warm ``repro analyze``."""
+        from repro.cli import run
+        from repro.programs import registry
+        from repro.programs.synthetic import coupon_chain
+
+        # The registry at its registered options.
+        batch = ["batch", "--cache-dir", str(tmp_path), "--quiet"]
+        assert run(batch, out=io.StringIO()) == 0
+        cache = ArtifactCache(tmp_path)
+        # Automatic valuations: the Chebyshev point comes off HiGHS.
+        AnalysisPipeline(coupon_chain(4), artifacts=cache).analyze(
+            AnalysisOptions(moment_degree=4)
+        )
+        AnalysisPipeline(parse_program(RDWALK), artifacts=cache).analyze(
+            replace(OPTS, lexicographic=False)
+        )
+        scanned = {}
+        for stage in ("result", "valuations"):
+            paths = list(cache.directory.rglob(f"{stage}-*.pkl"))
+            scanned[stage] = len(paths)
+            for path in paths:
+                assert _numpy_references(path.read_bytes()) == [], path
+        # The last analysis shares its valuations with the registry's rdwalk.
+        analyses = len(registry.all_benchmarks()) + 2
+        assert scanned == {"result": analyses, "valuations": analyses - 1}
+
+
 def _warm_in_child(directory: str) -> None:
     cache = ArtifactCache(directory)
     AnalysisPipeline(parse_program(SIMPLE), artifacts=cache).analyze(OPTS)
@@ -352,6 +398,50 @@ class TestBatchExecutor:
         for jobs in (0, -1):
             with pytest.raises(ValueError, match="jobs must be at least 1"):
                 run_batch({}, jobs=jobs, executor=executor)
+
+
+def _last_line_of(code: str, cwd) -> str:
+    """Last line ``code`` prints in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestForkSites:
+    """Importing the fleet or the executor loads no stage module, and both
+    load them before forking, so every worker starts with them loaded."""
+
+    def test_worker_pool_loads_the_stages_before_forking(self, tmp_path):
+        db = str(tmp_path / "jobs.sqlite3")
+        assert _last_line_of(
+            "import sys\n"
+            "from repro.service.jobs import WorkerPool\n"
+            "unloaded = 'numpy' not in sys.modules\n"
+            f"WorkerPool({db!r}, workers=1).start().stop()\n"
+            "print(unloaded, 'repro.analysis.transformer' in sys.modules)\n",
+            tmp_path,
+        ) == "True True"
+
+    def test_process_batch_loads_the_stages_before_forking(self, tmp_path):
+        assert _last_line_of(
+            "import sys\n"
+            "from repro.analysis.pipeline import AnalysisOptions\n"
+            "from repro.lang.parser import parse_program\n"
+            "from repro.service.executor import run_batch\n"
+            "unloaded = 'numpy' not in sys.modules\n"
+            f"program = parse_program({SIMPLE!r})\n"
+            "report = run_batch({'a': program, 'b': program},\n"
+            "                   options=AnalysisOptions(moment_degree=1), jobs=2)\n"
+            "print(unloaded, report.ok, report.jobs,\n"
+            "      'repro.analysis.transformer' in sys.modules)\n",
+            tmp_path,
+        ) == "True True 2 True"
 
 
 # ---------------------------------------------------------------------------
