@@ -15,22 +15,12 @@ from functools import partialmethod
 from typing import Callable
 from unittest import mock
 
-import repro.lp.backends as backends
 from repro import AnalysisOptions, analyze
 from repro.analysis.results import MomentBoundResult
-from repro.lp.backends import ScipyDenseBackend
 from repro.lp.problem import LPProblem
 from repro.programs import registry
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def dense_backend():
-    """Pipelines built inside derive onto the dense reference backend
-    (no option selects it; cache keys do not name it, so use fresh
-    pipelines).  The pipeline imports ``IncrementalBackend`` from
-    :mod:`repro.lp.backends` when it derives, so the patch lands there."""
-    return mock.patch.object(backends, "IncrementalBackend", ScipyDenseBackend)
 
 
 def direct_solves():

@@ -1,7 +1,7 @@
 """Monte-Carlo engine benchmark: scalar ``Machine`` vs. the batched engine.
 
 The Fig. 10 scalability workload (the same program set as ``bench_cache`` /
-``bench_lp_assembly``: coupon chains at N = 4/8/16 plus the chained random
+``bench_solve``: coupon chains at N = 4/8/16 plus the chained random
 walk) is simulated at 10,000 trajectories per program with both engines.
 The trajectory *distributions* are identical; what is measured is wall
 time.  The numbers go to ``BENCH_mc.json`` at the repo root, and CI gates

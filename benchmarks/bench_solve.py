@@ -21,15 +21,18 @@ of analysis wall time sat in the solve loop; see ``BENCH_constraints.json``
 ``rdwalk_chain(3)`` at moment degree 4 is the degenerate-template
 instance: its 4th-moment stage objective rides a ray of the certificate
 polytope that only the variable box stops, and HiGHS cannot certify the
-solve under the default ±1e12 box on any path.  The analyzer now solves
-it on the default (reduced) path by restarting the lexicographic solve
-under tighter coefficient boxes (the ``lp_restart_bound`` ladder; a
-restricted certificate family is still a sound certificate family).  The
-bench asserts the default path *solves* it and times that solve; the
-direct path still fails — per-block pins and presolve are what make
-the tighter boxes certifiable — and its outcome is recorded in the JSON
-rather than hidden.  The instance stays out of the speedup ratio (the
-seed analyzer could not solve it at all).
+solve under the default ±1e12 box on any path.  The analyzer solves it on
+the default (reduced) path by restarting the lexicographic solve under
+tighter coefficient boxes (the ``lp_restart_bound`` ladder; a restricted
+certificate family is still a sound certificate family).  Under the
+restart box the rescue is the robustness cascade's interior-point last
+rung: it answers the block solves on which every simplex rung reports
+"unknown", and without it the instance raises ``LPError``.  The bench
+asserts the default path *solves* it and times that solve; the direct
+path still fails — per-block pins and presolve are what make the tighter
+boxes certifiable — and its outcome is recorded in the JSON rather than
+hidden.  The instance stays out of the speedup ratio (the seed analyzer
+could not solve it at all).
 
 The stacked-batch section times the same-shape block stacking on the
 three registry programs whose certificate systems decompose into >= 3
@@ -171,9 +174,11 @@ def test_solve_layer(benchmark):
         reduced[name], reduced_median[name], shapes[name] = _solve_seconds(make, True)
         direct[name], direct_median[name], _ = _solve_seconds(make, False)
 
-    # Degenerate-template instance: the default path must now solve it
-    # (template-restart ladder); the direct path's outcome is
-    # recorded, not asserted — it has no per-block pins to certify under.
+    # Degenerate-template instance: the default path must solve it
+    # (template-restart ladder, with the interior-point last rung answering
+    # the block solves the simplex rungs fail); the direct path's outcome
+    # is recorded, not asserted — it has no per-block pins to certify
+    # under.
     restart_name, restart_make = RESTART_INSTANCE
     restart = {
         "reduced": _restart_outcome(restart_make, True),
@@ -278,8 +283,9 @@ def test_solve_layer(benchmark):
     )
 
     # The analyzer must solve the degenerate instance on its default path
-    # (template-restart ladder).  The direct path has no
-    # per-block pins, so its outcome is recorded but not constrained.
+    # (template-restart ladder and the interior-point last rung).  The
+    # direct path has no per-block pins, so its outcome is recorded but not
+    # constrained.
     assert restart["reduced"]["outcome"] == "solved", restart
 
     # Acceptance: >= 2x solve_and_resolve speedup vs the PR-4 analyzer on

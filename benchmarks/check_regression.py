@@ -7,8 +7,8 @@ Two modes:
 fresh value exceeds the baseline by more than ``--threshold`` (a slowdown;
 getting faster never fails)::
 
-    python benchmarks/check_regression.py baseline.json BENCH_lp_assembly.json \
-        --key incremental_total_seconds --threshold 0.25
+    python benchmarks/check_regression.py baseline.json BENCH_solve.json \
+        --key solve_total_seconds --threshold 0.25
 
 **Consolidated** (``--all``) — one invocation gates every known
 ``BENCH_*.json`` at once against a directory of saved baselines::
@@ -36,7 +36,6 @@ import sys
 
 #: record file -> ((key, threshold-override-or-None), ...)
 GATES: dict[str, tuple[tuple[str, float | None], ...]] = {
-    "BENCH_lp_assembly.json": (("incremental_total_seconds", None),),
     "BENCH_constraints.json": (("derivation_total_seconds", None),),
     "BENCH_solve.json": (("solve_total_seconds", None),),
     "BENCH_mc.json": (("vectorized_total_seconds", None),),
@@ -128,9 +127,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="(--all) directory holding the fresh records (default: repo root)",
     )
     parser.add_argument(
-        "--key", default="incremental_total_seconds",
-        help="numeric field to compare (default: total wall time of the "
-        "incremental backend)",
+        "--key", help="numeric field to compare (single-pair mode)"
     )
     parser.add_argument(
         "--threshold", type=float, default=0.25,
@@ -142,8 +139,8 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.baseline_dir is None:
             parser.error("--all requires --baseline-dir")
         return check_all(args.baseline_dir, args.records_dir, args.threshold)
-    if args.baseline is None or args.fresh is None:
-        parser.error("need baseline and fresh records (or --all)")
+    if args.baseline is None or args.fresh is None or args.key is None:
+        parser.error("need baseline and fresh records and --key (or --all)")
     return check_pair(args.baseline, args.fresh, args.key, args.threshold)
 
 

@@ -6,9 +6,9 @@ scipy >= 1.15 ships the HiGHS pybind11 extension as
 pulls in half of scipy; the extension itself needs none of it.
 :func:`scipy_highs_core` therefore loads the extension file by path
 (``importlib.util.spec_from_file_location``), registered under its usual
-dotted name, so a later ``import scipy.optimize`` (the dense backend's last
-rung) finds it in ``sys.modules`` and shares the same module object.
-Should scipy's private layout move, it falls back to the normal import.
+dotted name, so that ``scipy.optimize``, should anything import it later,
+finds it in ``sys.modules`` and shares the same module object.  Should
+scipy's private layout move, it falls back to the normal import.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ the copy scipy bundles for its own LP wrapper
 (``scipy.optimize._highspy._core``, shipped since scipy 1.15), loaded by
 file path so that ``scipy.optimize`` itself stays unimported
 (:mod:`repro.lp.backends.highs_core`).  With neither, importing this module
-raises :class:`ImportError`.  When every HiGHS rung of the robustness
-cascade fails, the last rung hands the rows to
-:class:`~repro.lp.backends.scipy_dense.ScipyDenseBackend`.
+raises :class:`ImportError`.  Every rung of the robustness cascade runs on
+the one persistent model; the last runs HiGHS's interior-point method, and
+when that fails too the solve raises :class:`~repro.lp.core.LPError`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.deadline import AnalysisTimeout, current_deadline
-from repro.lp.backends.base import EQ, GE, Checkpoint, LPBackend, rung_status
+from repro.lp.backends.base import EQ, GE, BackendStats, Checkpoint, rung_status
 from repro.lp.backends.highs_core import scipy_highs_core
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 
@@ -100,11 +100,12 @@ class _RowBuffer:
         return starts, cols, vals, rhs
 
 
-class IncrementalBackend(LPBackend):
-    """Triplet-buffer assembly with warm-started incremental HiGHS solves."""
+class IncrementalBackend:
+    """Row storage plus solving for one LP problem instance: triplet-buffer
+    assembly with warm-started incremental HiGHS solves."""
 
     def __init__(self) -> None:
-        super().__init__()
+        self.stats = BackendStats()
         self._buffers = {EQ: _RowBuffer(), GE: _RowBuffer()}
         self._h = None
         self._model_rows = {EQ: 0, GE: 0}
@@ -145,14 +146,27 @@ class IncrementalBackend(LPBackend):
     # -- row storage --------------------------------------------------------
 
     def add_row(self, kind: str, terms, const: float) -> int:
-        # ``terms``: a {col: coeff} dict (bulk fast path) or (col, coeff)
-        # pairs — see the base-class contract.
+        """Append a row of ``kind`` and return its index within that kind.
+
+        ``terms`` is either a ``{col: coeff}`` dict (the fast path, ingested
+        without a Python-level loop) or an iterable of ``(col, coeff)``
+        pairs.
+        """
         return self._buffers[kind].append(terms, const)
 
     def num_rows(self, kind: str) -> int:
         return len(self._buffers[kind])
 
     def row_arrays(self, kind: str, lo: int = 0, hi: "int | None" = None):
+        """Rows ``lo..hi`` of ``kind`` as CSR numpy arrays.
+
+        Returns ``(starts, cols, vals, rhs)`` where ``starts`` has
+        ``hi - lo + 1`` entries (zero-based, final terminator included) and
+        ``rhs`` follows the row semantics ``terms·x == rhs`` (eq) /
+        ``terms·x >= rhs`` (ge).  This is the export surface of the LP
+        reduction layer (:mod:`repro.lp.reduce`): presolve and block
+        decomposition read row storage through it.
+        """
         buf = self._buffers[kind]
         if hi is None:
             hi = len(buf)
@@ -170,6 +184,7 @@ class IncrementalBackend(LPBackend):
         return Checkpoint(eq=len(self._buffers[EQ]), ge=len(self._buffers[GE]))
 
     def rollback(self, checkpoint: Checkpoint) -> None:
+        """Drop every row appended after ``checkpoint``."""
         self._buffers[EQ].truncate(checkpoint.eq)
         self._buffers[GE].truncate(checkpoint.ge)
         if (
@@ -284,17 +299,21 @@ class IncrementalBackend(LPBackend):
                 base_cost[idx] = coeff if minimize else -coeff
         nonneg_list = None
 
-        # Mirrors the dense backend's robustness cascade, minus the method
-        # hopping (the persistent model warm-starts, which already removes
-        # most of the degenerate-face "unknown" outcomes).
+        # The robustness cascade, all on the persistent model.  Warm starts
+        # already remove most of the degenerate-face "unknown" outcomes; the
+        # later rungs break ties toward small certificates (a ridge on the
+        # multipliers), tighten the variable box, and last run HiGHS's
+        # interior-point method, which certifies degenerate faces on which
+        # every simplex rung reports "unknown".
         attempts = [
-            (0.0, bound),
-            (regularization, bound),
-            (regularization, min(bound, 1e9)),
-            (100 * regularization, min(bound, 1e8)),
+            (0.0, bound, "choose"),
+            (regularization, bound, "choose"),
+            (regularization, min(bound, 1e9), "choose"),
+            (100 * regularization, min(bound, 1e8), "choose"),
+            (0.0, bound, "ipm"),
         ]
         deadline = current_deadline()
-        for reg, box in attempts:
+        for reg, box, solver in attempts:
             if deadline is not None:
                 deadline.check("lp.solve")
             self._ensure_model(problem, n, box)
@@ -324,7 +343,11 @@ class IncrementalBackend(LPBackend):
                 h.clearSolver()  # discard the basis; presolve runs again
                 self._basis_valid = False
                 warm = False
+            if solver != "choose":
+                h.setOptionValue("solver", solver)
             h.run()
+            if solver != "choose":
+                h.setOptionValue("solver", "choose")  # later stages: simplex
             status = h.getModelStatus()
             if (
                 deadline is not None
@@ -359,34 +382,9 @@ class IncrementalBackend(LPBackend):
                 self._avoid_warm = True
             h.clearSolver()
             self._basis_valid = False
-        self._h = None  # cold model for whatever comes after the fallback
-        return self._fallback_dense(
-            problem, objective, objective_const, minimize, bound, regularization
-        )
-
-    def _fallback_dense(
-        self,
-        problem: "LPProblem",
-        objective: "dict[int, float] | None",
-        objective_const: float,
-        minimize: bool,
-        bound: float,
-        regularization: float,
-    ) -> LPSolution:
-        """Last resort: hand the triplets to the scipy cascade."""
-        from repro.lp.backends.scipy_dense import ScipyDenseBackend
-
-        self.stats.fallbacks += 1
-        dense = ScipyDenseBackend()
-        for kind in (EQ, GE):
-            buf = self._buffers[kind]
-            for r in range(len(buf)):
-                lo, hi = buf.starts[r], buf.starts[r + 1]
-                dense.add_row(
-                    kind,
-                    zip(buf.cols[lo:hi], buf.vals[lo:hi]),
-                    -buf.rhs[r],
-                )
-        return dense.solve(
-            problem, objective, objective_const, minimize, bound, regularization
+        self._h = None  # cold model for whatever solves next
+        raise LPError(
+            f"LP solver failed on all {len(attempts)} cascade rungs (plain; "
+            "ridge; ridge, box 1e9; 100x ridge, box 1e8; interior point); "
+            f"last HiGHS model status: {status.name}"
         )

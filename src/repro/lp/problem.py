@@ -9,9 +9,8 @@ constraints").
 :class:`LPProblem` is a thin façade: it owns the variable pool, performs the
 constant-row feasibility checks at emission time, and keeps the ``note``
 annotations used for infeasibility diagnostics.  Row storage and solving are
-delegated to a backend (:mod:`repro.lp.backends`): the incremental
-warm-started HiGHS backend unless the caller passes another instance (the
-parity tests pass :class:`~repro.lp.backends.ScipyDenseBackend`).
+delegated to the incremental warm-started HiGHS backend
+(:class:`~repro.lp.backends.IncrementalBackend`).
 
 Solves route through the structure-exploiting reduction layer
 (:mod:`repro.lp.reduce`): a vectorized presolve over the backend's row
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lp.affine import AffBuilder, AffForm, LinVar, VarPool
-from repro.lp.backends import Checkpoint, IncrementalBackend, LPBackend
+from repro.lp.backends import Checkpoint, IncrementalBackend
 from repro.lp.backends.base import EQ, GE
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 from repro.lp.reduce import ReducedSolver
@@ -47,7 +46,7 @@ _DIAGNOSTIC_NOTES = 6
 @dataclass
 class LPProblem:
     pool: VarPool = field(default_factory=VarPool)
-    backend: LPBackend = field(default_factory=IncrementalBackend)
+    backend: IncrementalBackend = field(default_factory=IncrementalBackend)
     _nonneg: set[int] = field(default_factory=set)
     _eq_notes: dict[int, str] = field(default_factory=dict)
     _ge_notes: dict[int, str] = field(default_factory=dict)

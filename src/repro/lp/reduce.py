@@ -66,7 +66,7 @@ from repro.lp.backends.base import EQ, GE, Checkpoint
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.lp.backends.base import LPBackend
+    from repro.lp.backends import IncrementalBackend
     from repro.lp.problem import LPProblem
 
 __all__ = ["ReducedSolver", "ReductionStats"]
@@ -207,7 +207,7 @@ class _LiveBlock:
         gcols: np.ndarray,
         local_of: dict[int, int],
         nonneg: set[int],
-        backend: "LPBackend",
+        backend: "IncrementalBackend",
         owner: "LPProblem",
         pristine_ids: tuple[int, ...],
     ) -> None:
@@ -493,10 +493,10 @@ class ReducedSolver:
             self._applied = {EQ: reduction.snapshot.eq, GE: reduction.snapshot.ge}
         self._apply_new_rows()
 
-    def _block_backend(self) -> "LPBackend":
-        # Blocks solve through a fresh instance of the problem's own backend
-        # class, inheriting its robustness cascade, warm-start policy, and
-        # (for the incremental backend) the persistent HiGHS model.
+    def _block_backend(self) -> "IncrementalBackend":
+        # Blocks solve through a fresh instance of the problem's backend
+        # class, with its robustness cascade, warm-start policy and
+        # persistent HiGHS model.
         return type(self.problem.backend)()
 
     def _stack_plan(self) -> list[tuple[int, ...]]:

@@ -1,29 +1,39 @@
-"""Backend parity and incremental-assembly regression tests.
+"""Backend parity, incremental-assembly and robustness-cascade tests.
 
-The analyzer's incremental backend must agree with the dense reference
-backend (:class:`ScipyDenseBackend`, reached by patching the pipeline; see
-``_lp_paths``): identical optimal objective values on every registry
-program (the solutions themselves may differ on degenerate optimal faces —
-that is allowed).  The incremental backend must additionally *append*
-lexicographic stage cuts to its persistent model instead of rebuilding it
-per stage, and hand the rows to the dense backend when every HiGHS rung of
-its cascade fails.
+The analyzer re-optimizes one persistent HiGHS model per LP across the
+lexicographic stages; its bounds must agree with cold models, built and
+presolved afresh for every solve (reached by patching; see ``_lp_paths``):
+the same optimal objective values on every registry program (the solutions
+themselves may differ on degenerate optimal faces — that is allowed).  The
+backend must additionally *append* lexicographic stage cuts to its
+persistent model instead of rebuilding it per stage, answer on its
+interior-point last rung when every simplex rung fails, and raise a typed
+error when that fails too.  Small random LPs are certified against exact
+rational arithmetic (:mod:`repro.logic.entail`).
 """
 
 import contextlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _lp_paths import dense_backend, direct_solves
+from _lp_paths import cold_models, direct_solves, last_rung_lp, scripted_statuses
 from repro import AnalysisOptions, AnalysisPipeline, analyze
+from repro.deadline import AnalysisTimeout, Deadline, deadline_scope
+from repro.logic.entail import entails, is_feasible
+from repro.logic.linear import LinExpr, LinIneq
 from repro.lp.affine import AffBuilder, AffForm
-from repro.lp.backends import IncrementalBackend, ScipyDenseBackend, incremental
+from repro.lp.backends import IncrementalBackend
+from repro.lp.backends.base import EQ, GE
 from repro.lp.problem import LPInfeasibleError, LPProblem
 from repro.programs import registry
-
-BACKENDS = {"dense": ScipyDenseBackend, "incremental": IncrementalBackend}
 
 
 def registry_names():
@@ -40,8 +50,8 @@ def bench_options(name: str) -> AnalysisOptions:
     )
 
 
-def analyze_dense(name: str):
-    with dense_backend():
+def analyze_cold(name: str):
+    with cold_models():
         return analyze(registry.parsed(name), bench_options(name))
 
 
@@ -56,50 +66,50 @@ class TestRegistryParity:
         first additionally sit on the previous stages' cut bands (each cut
         pins the prior optimum only up to a 1e-5 margin, and the solvers may
         land anywhere inside the band), so their tolerance widens by 2e-5
-        per preceding stage.  Where the *dense* cascade had to degrade
+        per preceding stage.  Where the cold models' cascade had to degrade
         (regularization / tighter boxes — recorded in ``solver_statuses``)
-        its optimum is only an upper estimate, and the incremental backend
-        is allowed to do strictly better, never worse.
+        their optimum is only an upper estimate, and the persistent models
+        are allowed to do strictly better, never worse.
         """
-        dense = analyze_dense(name)
-        incr = analyze(registry.parsed(name), bench_options(name))
-        assert len(dense.objective_values) == len(incr.objective_values)
+        cold = analyze_cold(name)
+        warm = analyze(registry.parsed(name), bench_options(name))
+        assert len(cold.objective_values) == len(warm.objective_values)
         for stage, (a, b) in enumerate(
-            zip(dense.objective_values, incr.objective_values)
+            zip(cold.objective_values, warm.objective_values)
         ):
             scale = max(
-                dense.objective_scales[stage], incr.objective_scales[stage], 1.0
+                cold.objective_scales[stage], warm.objective_scales[stage], 1.0
             )
             tol = (1e-6 + stage * 2e-5) * max(abs(a), abs(b), scale)
             plain = (
-                dense.solver_statuses[stage] in ("optimal", "constant")
-                and incr.solver_statuses[stage] in ("optimal", "constant")
+                cold.solver_statuses[stage] in ("optimal", "constant")
+                and warm.solver_statuses[stage] in ("optimal", "constant")
             )
             if plain:
                 assert math.isclose(a, b, rel_tol=1e-6, abs_tol=tol), (
-                    f"{name} stage {stage}: dense={a!r} incremental={b!r}"
+                    f"{name} stage {stage}: cold={a!r} warm={b!r}"
                 )
             else:
                 assert b <= a + tol, (
-                    f"{name} stage {stage}: incremental={b!r} worse than "
-                    f"degraded dense={a!r} ({dense.solver_statuses[stage]})"
+                    f"{name} stage {stage}: warm={b!r} worse than "
+                    f"degraded cold={a!r} ({cold.solver_statuses[stage]})"
                 )
 
     @pytest.mark.parametrize("name", ["rdwalk", "geo", "kura-1-1"])
     def test_first_moment_bounds_match(self, name):
-        dense = analyze_dense(name)
-        incr = analyze(registry.parsed(name), bench_options(name))
-        d, i = dense.raw_interval(1), incr.raw_interval(1)
-        assert d.hi == pytest.approx(i.hi, rel=1e-6, abs=1e-6)
-        assert d.lo == pytest.approx(i.lo, rel=1e-6, abs=1e-6)
+        cold = analyze_cold(name)
+        warm = analyze(registry.parsed(name), bench_options(name))
+        c, w = cold.raw_interval(1), warm.raw_interval(1)
+        assert c.hi == pytest.approx(w.hi, rel=1e-6, abs=1e-6)
+        assert c.lo == pytest.approx(w.lo, rel=1e-6, abs=1e-6)
 
 
 class TestFuzzCorpusParity:
-    """The warm-start drift trap: the incremental backend reuses one HiGHS
-    model across stages and batches, so a stale basis could silently shift
-    bounds on programs outside the curated registry.  The fuzz corpus
-    (arbitrary generated programs, fixed seeds) must produce *identical*
-    moment intervals through both backends."""
+    """The warm-start drift trap: the backend reuses one HiGHS model across
+    stages and batches, so a stale basis could silently shift bounds on
+    programs outside the curated registry.  The fuzz corpus (arbitrary
+    generated programs, fixed seeds) must produce *identical* moment
+    intervals on persistent and on cold models."""
 
     CORPUS_SEEDS = list(range(8))
 
@@ -109,38 +119,38 @@ class TestFuzzCorpusParity:
 
         return generate_corpus(len(self.CORPUS_SEEDS), seed=0)
 
-    def _analyze(self, case, dense=False, reduce=True):
+    def _analyze(self, case, cold=False, reduce=True):
         options = AnalysisOptions(
             moment_degree=case.moment_degree,
             objective_valuations=(case.valuation,),
         )
         with contextlib.ExitStack() as paths:
-            if dense:
-                paths.enter_context(dense_backend())
+            if cold:
+                paths.enter_context(cold_models())
             if not reduce:
                 paths.enter_context(direct_solves())
             return analyze(case.parse(), options)
 
     @pytest.mark.parametrize("reduce", [False, True])
     def test_fuzz_bounds_identical_across_backends(self, corpus, reduce):
-        """Dense-vs-incremental parity must hold with the LP reduction layer
-        both off and on (the reduced path decomposes and presolves the same
-        system for either backend)."""
+        """Cold-vs-warm parity must hold with the LP reduction layer both
+        off and on (the reduced path decomposes and presolves the same
+        system either way)."""
         checked = 0
         for case in corpus:
             try:
-                dense = self._analyze(case, dense=True, reduce=reduce)
+                cold = self._analyze(case, cold=True, reduce=reduce)
             except Exception:
                 continue  # infeasible for the analyzer: parity is vacuous
-            incr = self._analyze(case, reduce=reduce)
+            warm = self._analyze(case, reduce=reduce)
             for k in range(1, case.moment_degree + 1):
-                d = dense.raw_interval(k, case.valuation)
-                i = incr.raw_interval(k, case.valuation)
-                scale = max(1.0, abs(d.lo), abs(d.hi))
-                assert i.hi == pytest.approx(d.hi, abs=1e-6 * scale), (
+                c = cold.raw_interval(k, case.valuation)
+                w = warm.raw_interval(k, case.valuation)
+                scale = max(1.0, abs(c.lo), abs(c.hi))
+                assert w.hi == pytest.approx(c.hi, abs=1e-6 * scale), (
                     case.name, k, "hi",
                 )
-                assert i.lo == pytest.approx(d.lo, abs=1e-6 * scale), (
+                assert w.lo == pytest.approx(c.lo, abs=1e-6 * scale), (
                     case.name, k, "lo",
                 )
                 checked += 1
@@ -198,7 +208,6 @@ class TestIncrementalAssembly:
         assert stats.model_builds == 1
         # m-1 = 2 cut rows pinned previous stage optima.
         assert stats.rows_appended == 2
-        assert stats.fallbacks == 0
 
     def test_reduced_pins_are_appended_to_block_models(self):
         """With the reduction layer on, the lexicographic stage pins land on
@@ -214,20 +223,21 @@ class TestIncrementalAssembly:
         # The *problem* backend never solved anything itself.
         assert pipe.constraint_system(options).lp.backend.stats.solves == 0
 
-    def test_dense_backend_rebuilds_per_stage(self):
+    def test_cold_models_rebuild_per_stage(self):
+        """``cold_models()`` lands: every stage builds a fresh model."""
         options = AnalysisOptions(moment_degree=3)
-        with dense_backend(), direct_solves():
+        with cold_models(), direct_solves():
             pipe = AnalysisPipeline(registry.parsed("rdwalk"))
             pipe.analyze(options)
         stats = pipe.constraint_system(options).lp.backend.stats
         assert stats.model_builds == stats.solves == 3
 
-    @pytest.mark.parametrize("backend", ["dense", "incremental"])
+    @pytest.mark.parametrize("backend", [IncrementalBackend], ids=["incremental"])
     def test_cut_rows_added_after_reduction_roll_back_cleanly(self, backend):
         """Rows appended after the reduction snapshot (the lexicographic
         cuts) are projected onto the live blocks; rolling them back must
         restore the pristine partition and reproduce the original optimum."""
-        lp = LPProblem(backend=BACKENDS[backend]())
+        lp = LPProblem(backend=backend())
         x, y = lp.fresh("x"), lp.fresh("y")
         lam = lp.fresh_nonneg("lam")
         lp.add_ge(AffForm.of_var(x) - 3.0)
@@ -309,46 +319,142 @@ class TestIncrementalAssembly:
         assert solution.value_of(y) == pytest.approx(2.0)
 
 
-class _NeverOptimal:
-    """A HiGHS handle whose every run ends in ``kUnknown``."""
+def _solve_fresh(statuses: dict[str, str]) -> dict:
+    """Solve :func:`last_rung_lp` under ``scripted_statuses(statuses)`` in a
+    fresh interpreter: the outcome, and whether ``scipy.optimize`` loaded."""
+    code = f"""
+import json, sys
+from _lp_paths import last_rung_lp, scripted_statuses
+with scripted_statuses({statuses!r}):
+    lp, objective = last_rung_lp()
+    try:
+        solution = lp.solve(objective, reduce=False)
+        out = {{"objective": solution.objective, "status": solution.status}}
+    except Exception as exc:
+        out = {{"error": type(exc).__name__, "message": str(exc)}}
+out["scipy.optimize"] = "scipy.optimize" in sys.modules
+print(json.dumps(out))
+"""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(here.parent / "src"), str(here), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
-    def __init__(self, highs):
-        self._highs = highs
 
-    def __getattr__(self, name):
-        return getattr(self._highs, name)
+class TestIpmLastRung:
+    """The cascade's last rung runs HiGHS's interior-point method on the
+    persistent model; no rung imports ``scipy.optimize``."""
 
-    def getModelStatus(self):
-        return incremental._hs.HighsModelStatus.kUnknown
+    def test_ipm_rung_answers_when_simplex_rungs_fail(self):
+        out = _solve_fresh({"choose": "kUnknown"})
+        assert out == {
+            "objective": pytest.approx(5.0),  # x=2, y=1, lam=2
+            "status": "optimal",
+            "scipy.optimize": False,
+        }
+
+    def test_every_rung_failing_raises_lp_error(self):
+        out = _solve_fresh({"choose": "kUnknown", "ipm": "kUnknown"})
+        assert out["error"] == "LPError"
+        assert "5 cascade rungs" in out["message"]
+        assert "interior point" in out["message"]
+        assert "kUnknown" in out["message"]
+        assert out["scipy.optimize"] is False
+
+    def test_ipm_time_limit_is_a_timeout_not_an_lp_error(self):
+        lp, objective = last_rung_lp()
+        statuses = {"choose": "kUnknown", "ipm": "kTimeLimit"}
+        with scripted_statuses(statuses), deadline_scope(Deadline(60.0)):
+            with pytest.raises(AnalysisTimeout):
+                lp.solve(objective, reduce=False)
 
 
-class TestDenseLastRung:
-    def _problem(self, backend):
-        lp = LPProblem(backend=backend)
-        x, y = lp.fresh("x"), lp.fresh("y")
-        lam = lp.fresh_nonneg("lam")
-        lp.add_ge(AffForm.of_var(x) + AffForm.of_var(y) - 3.0)
-        lp.add_eq(AffForm.of_var(x) - AffForm.of_var(y) - 1.0)
-        lp.add_ge(AffForm.of_var(lam) - AffForm.of_var(x))
-        return lp, AffForm.of_var(x) + AffForm.of_var(y) + AffForm.of_var(lam)
+#: The ±bound box every LP column sits in (``LPProblem.solve``'s default).
+BOX = 1e12
 
-    def test_failed_highs_rungs_fall_back_to_the_dense_backend(self, monkeypatch):
-        """When every HiGHS rung of the cascade ends non-optimal, the last
-        rung hands the rows to :class:`ScipyDenseBackend` and returns its
-        optimum."""
-        dense, objective = self._problem(ScipyDenseBackend())
-        want = dense.solve(objective, reduce=False)
-        monkeypatch.setattr(
-            incremental, "_new_highs",
-            lambda new=incremental._new_highs: _NeverOptimal(new()),
+
+@st.composite
+def small_lps(draw):
+    """1–4 columns, each free or nonnegative; 1–5 ``eq``/``ge`` rows with
+    integer coefficients in [−4, 4] and constants in [−6, 6]; an integer
+    objective to minimize."""
+    n = draw(st.integers(1, 4))
+    coeffs = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from([EQ, GE]), coeffs, st.integers(-6, 6)),
+            min_size=1,
+            max_size=5,
         )
-        lp, objective = self._problem(IncrementalBackend())
-        got = lp.solve(objective, reduce=False)
-        assert lp.backend.stats.fallbacks == 1
-        assert lp.backend.stats.solves == 1
-        assert (got.objective, got.status) == (want.objective, want.status)
-        assert got.objective == pytest.approx(5.0)  # x=2, y=1, lam=2
-        np.testing.assert_array_equal(got.values, want.values)
+    )
+    return nonneg, rows, draw(coeffs)
+
+
+class TestExactReference:
+    """Small LPs certified in exact rationals (:mod:`repro.logic.entail`).
+
+    Γ is the rows, the sign constraints and the ±``BOX`` box.  A reported
+    minimum ``v`` must be attained, ``Γ ∧ obj ≤ v + ε`` satisfiable, and,
+    when the plain problem was solved (status ``optimal``), be the minimum:
+    ``Γ ⊨ obj ≥ v − ε``.  The degraded rungs' values are upper estimates
+    only (see :func:`repro.lp.backends.base.rung_status`); the direct path
+    reports them with the ridge cost included.  A reported infeasibility
+    needs an infeasible Γ.
+
+    ``ε = 1e-6·(1 + |v|)`` plus 16 ulps of the vertex's largest entry per
+    unit of objective coefficient: a vertex on the 1e12 box meets its rows
+    only to within a few ulps of 1e12 (ROADMAP item 3), and ``v`` can be
+    no closer than that to the exact optimum.
+    """
+
+    @pytest.mark.parametrize("reduce", [True, False], ids=["reduced", "direct"])
+    @given(drawn=small_lps())
+    @settings(max_examples=300, deadline=None)
+    def test_optimum_is_certified_in_rationals(self, drawn, reduce):
+        nonneg, rows, objective = drawn
+        names = [f"x{j}" for j in range(len(nonneg))]
+        gamma = []
+        for name, sign in zip(names, nonneg):
+            gamma.append(LinIneq(LinExpr.build({name: -1.0}, BOX)))
+            gamma.append(LinIneq(LinExpr.build({name: 1.0}, 0.0 if sign else BOX)))
+        for kind, coeffs, const in rows:
+            expr = LinExpr.build(dict(zip(names, coeffs)), const)
+            gamma.append(LinIneq(expr))
+            if kind == EQ:
+                gamma.append(LinIneq(-expr))
+        obj = LinExpr.build(dict(zip(names, objective)))
+
+        lp = LPProblem()
+        cols = [
+            (lp.fresh_nonneg(name) if sign else lp.fresh(name)).index
+            for name, sign in zip(names, nonneg)
+        ]
+
+        def form(coeffs, const=0.0):
+            return AffForm({j: float(c) for j, c in zip(cols, coeffs) if c}, const)
+
+        try:
+            for kind, coeffs, const in rows:
+                add = lp.add_eq if kind == EQ else lp.add_ge
+                add(form(coeffs, const))
+            solution = lp.solve(form(objective), bound=BOX, reduce=reduce)
+        except LPInfeasibleError:
+            assert not is_feasible(gamma)
+            return
+        v = solution.objective
+        largest = max(abs(float(x)) for x in solution.values)
+        eps = 1e-6 * (1 + abs(v)) + 16 * math.ulp(largest) * sum(map(abs, objective))
+        assert is_feasible(gamma + [LinIneq(-obj + (v + eps))])
+        if solution.status == "optimal":
+            assert entails(gamma, LinIneq(obj - (v - eps)))
 
 
 class TestBackendRegistry:
@@ -366,9 +472,9 @@ class TestInfeasibilityDiagnostics:
         with pytest.raises(LPInfeasibleError, match="loop.inv"):
             lp.add_ge(AffForm.constant(-1.0), note="loop.inv")
 
-    @pytest.mark.parametrize("backend", ["dense", "incremental"])
+    @pytest.mark.parametrize("backend", [IncrementalBackend], ids=["incremental"])
     def test_solver_infeasibility_reports_noted_groups(self, backend):
-        lp = LPProblem(backend=BACKENDS[backend]())
+        lp = LPProblem(backend=backend())
         x = lp.fresh("x")
         lp.add_ge(AffForm.of_var(x) - 3.0, note="lower.bound[x]")
         lp.add_le(AffForm.of_var(x) - 2.0, note="upper.bound[x]")

@@ -40,7 +40,6 @@ def test_star_import(package):
 
 def test_exports_are_the_defining_objects():
     from repro.analysis.pipeline import analyze
-    from repro.lp.backends.scipy_dense import ScipyDenseBackend
     from repro.lp.core import LPError
     from repro.service.store import JobStore
     from repro.soundness.checker import check_soundness
@@ -48,7 +47,6 @@ def test_exports_are_the_defining_objects():
     assert repro.analyze is analyze
     assert repro.check_soundness is check_soundness
     assert repro.LPError is LPError
-    assert backends.ScipyDenseBackend is ScipyDenseBackend
     assert service.JobStore is JobStore
 
 

@@ -46,7 +46,6 @@ from repro.logic.handelman import (
 from repro.logic.context import Context
 from repro.logic.linear import LinExpr, LinIneq
 from repro.lp.affine import AffForm
-from repro.lp.backends import ScipyDenseBackend
 from repro.lp.backends.base import EQ, GE
 from repro.lp.core import LPInfeasibleError
 from repro.lp.problem import LPProblem
@@ -280,7 +279,7 @@ class TestPlans:
     def test_substitution_plan_on_templates(self):
         rng = np.random.default_rng(41)
         for _ in range(60):
-            lp = LPProblem(backend=ScipyDenseBackend())
+            lp = LPProblem()
             p = random_template(rng, lp)
             repl = random_poly(rng, max_terms=3, max_exp=2)
             var = VARS[int(rng.integers(0, len(VARS)))]
@@ -293,7 +292,7 @@ class TestPlans:
         rng = np.random.default_rng(43)
         moments = {k: (2.0 ** -k) * 3 for k in range(1, 16)}
         for _ in range(60):
-            lp = LPProblem(backend=ScipyDenseBackend())
+            lp = LPProblem()
             p = random_template(rng, lp)
             var = VARS[int(rng.integers(0, len(VARS)))]
             got = ExpectationPlan(var, moments.__getitem__).apply(p)
@@ -320,7 +319,7 @@ class TestPlans:
         re-inserts its monomial last — for floats and templates alike."""
         x, y, z = (Monomial.of(v) for v in "xyz")
         y2 = Monomial.of("y", 2)
-        lp = LPProblem(backend=ScipyDenseBackend())
+        lp = LPProblem()
         t, w = (AffForm.of_var(lp.fresh(n)) for n in ("t", "w"))
         # y -> x + 1: the y term cancels the x term, y^2 brings x back.
         concrete = Polynomial.from_terms([(x, 1.0), (y, -1.0), (z, 2.0), (y2, 3.0)])
@@ -335,7 +334,7 @@ class TestPlans:
         """prefix_cost / prob_mix / oplus_all vs their chained references."""
         rng = np.random.default_rng(47)
         for _ in range(30):
-            lp = LPProblem(backend=ScipyDenseBackend())
+            lp = LPProblem()
             a, b = random_annotation(rng, lp), random_annotation(rng, lp)
             cost = int(rng.integers(-8, 9)) / 4.0
             prob = int(rng.integers(0, 17)) / 16.0
@@ -361,18 +360,20 @@ def _ctx(*pairs) -> Context:
 
 
 def _lp_fingerprint(lp: LPProblem):
-    # The dense backend stores (terms dict, const) per row; listing the
-    # items preserves insertion order, so this captures the exact layout the
-    # solver would see.
-    rows = lp.backend._rows
+    # The CSR export keeps each row's terms in insertion order, so this
+    # captures the exact layout the solver would see.
+    rows = {}
+    for kind in (EQ, GE):
+        starts, cols, vals, rhs = lp.backend.row_arrays(kind)
+        rows[kind] = [
+            (cols[a:b].tolist(), vals[a:b].tolist(), r)
+            for a, b, r in zip(starts[:-1], starts[1:], rhs.tolist())
+        ]
     return (
         [v.name for v in lp.pool.variables],
         sorted(lp.nonneg_indices),
         list(lp.cert_spans),
-        {
-            kind: [(list(terms.items()), const) for terms, const in rows[kind]]
-            for kind in (EQ, GE)
-        },
+        rows,
         dict(lp._eq_notes),
     )
 
@@ -412,7 +413,7 @@ class TestEmissionParity:
             fingerprints = []
             for emit in (emit_nonneg_certificate, reference_emission):
                 clear_certificate_caches()
-                lp = LPProblem(backend=ScipyDenseBackend())
+                lp = LPProblem()
                 template_rng = np.random.default_rng(1000 + trial)
                 poly = random_template(template_rng, lp)
                 minus = random_template(template_rng, lp)
