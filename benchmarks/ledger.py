@@ -9,8 +9,10 @@ Two subcommands, run from the repo root::
 ``float.hex`` of the stage objective values, the stage tolerances, the
 raw-moment interval ends and the central-moment interval ends (orders 2 to
 the moment degree), plus the solver status list and the template-restart
-bound.  An analysis that raises records the error's type instead.  The
-inputs:
+bound.  An analysis that raises records the error's type instead.  Next to
+the ``entries`` it records the ``build`` that wrote them: the HiGHS version
+and githash, the bindings (``highspy``, or the copy scipy bundles, with the
+scipy version), numpy and Python.  The inputs:
 
 * the registry programs at their registered options;
 * ``coupon_chain(4|8|16)`` and ``rdwalk_chain(2)`` at moment degree 4
@@ -19,8 +21,12 @@ inputs:
 
 ``compare`` prints every moved interval end as tighter, looser or crossed
 (the upper end below the lower one), every changed status list and every
-other changed field, and exits 1 if anything moved (0 otherwise).  Write
-each tree's ledger with that tree's ``src`` on ``PYTHONPATH``.
+other changed field, and exits 1 if anything moved (0 otherwise).  It
+prints both builds when they differ.  Write each tree's ledger with that
+tree's ``src`` on ``PYTHONPATH``.
+
+``tests/data/bounds_ledger.json`` is the committed ledger;
+``tests/test_ledger.py`` re-derives its registry and fig10 entries.
 """
 
 from __future__ import annotations
@@ -34,11 +40,42 @@ def _hex(value: float) -> str:
     return float(value).hex()
 
 
-def inputs():
-    """``(name, program, options)`` for the 346 ledger inputs, in order."""
+def build() -> dict:
+    """The HiGHS build, its bindings, numpy and Python of this process."""
+    import platform
+
+    import numpy
+
+    from repro.lp.backends import incremental
+
+    highs = incremental._new_highs()
+    if incremental._hs.__name__.startswith("highspy"):
+        bindings = "highspy"
+    else:
+        import scipy
+
+        bindings = f"scipy {scipy.__version__}"
+    return {
+        "highs": highs.version(),
+        "highs_githash": highs.githash(),
+        "bindings": bindings,
+        "numpy": numpy.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def describe(build: dict) -> str:
+    """One line naming a :func:`build` record."""
+    return (
+        f"HiGHS {build['highs']} ({build['highs_githash']}) via "
+        f"{build['bindings']}, numpy {build['numpy']}, Python {build['python']}"
+    )
+
+
+def registry_and_fig10():
+    """``(name, program, options)`` for the 46 registry and fig10 inputs."""
     from repro import AnalysisOptions
     from repro.programs import registry
-    from repro.programs.fuzz import generate_corpus
     from repro.programs.synthetic import coupon_chain, rdwalk_chain
 
     for name in sorted(registry.all_benchmarks()):
@@ -56,6 +93,14 @@ def inputs():
         ("rw2", rdwalk_chain(2)),
     ):
         yield name, program, AnalysisOptions(moment_degree=4)
+
+
+def inputs():
+    """``(name, program, options)`` for the 346 ledger inputs, in order."""
+    from repro import AnalysisOptions
+    from repro.programs.fuzz import generate_corpus
+
+    yield from registry_and_fig10()
     for case in generate_corpus(300, seed=0):
         yield case.name, case.parse(), AnalysisOptions(
             moment_degree=case.moment_degree,
@@ -89,12 +134,12 @@ def entry(program, options) -> dict:
 
 
 def write(path: str) -> None:
-    ledger = {name: entry(program, options) for name, program, options in inputs()}
+    entries = {name: entry(program, options) for name, program, options in inputs()}
     with open(path, "w") as handle:
-        json.dump(ledger, handle, indent=1, sort_keys=True)
+        json.dump({"build": build(), "entries": entries}, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    failed = sum("error" in record for record in ledger.values())
-    print(f"wrote {len(ledger)} entries ({failed} failed analyses) to {path}")
+    failed = sum("error" in record for record in entries.values())
+    print(f"wrote {len(entries)} entries ({failed} failed analyses) to {path}")
 
 
 def _end_moves(name: str, field: str, old: list, new: list, first: int) -> list[str]:
@@ -149,6 +194,10 @@ def compare(old_path: str, new_path: str) -> int:
         old = json.load(handle)
     with open(new_path) as handle:
         new = json.load(handle)
+    if old["build"] != new["build"]:
+        print(f"old build: {describe(old['build'])}")
+        print(f"new build: {describe(new['build'])}")
+    old, new = old["entries"], new["entries"]
     lines = differences(old, new)
     for line in lines:
         print(line)

@@ -210,11 +210,6 @@ def emit_nonneg_certificate(
     lam_base = lp.fresh_nonneg(f"{label}.λ0").index
     for j in range(1, basis.n_products):
         lp.fresh_nonneg(f"{label}.λ{j}")
-    # Emission hint for the LP reduction layer: this certificate's
-    # multipliers occupy one contiguous column span, so presolve can
-    # build its λ/nonnegativity masks from span arithmetic instead of
-    # scanning the index set.
-    lp.note_cert_span(lam_base, basis.n_products)
     for mono, rows, negs in basis.columns:
         builder = target.get(mono)
         if builder is None:

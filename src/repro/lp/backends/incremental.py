@@ -45,6 +45,15 @@ try:  # standalone highspy, if the environment has it
 except ImportError:  # the copy scipy bundles (scipy >= 1.15)
     _hs = scipy_highs_core()
 
+#: Tie-breaking ridge of the cascade's second to fourth rungs: a tiny cost
+#: per unit of every nonnegative column (the Handelman certificate
+#: multipliers).  Certificates are massively non-unique, and the resulting
+#: degenerate optimal faces are what occasionally drives HiGHS to give up;
+#: preferring small certificates breaks the ties at negligible cost to the
+#: optimum.  The ridge only steers the vertex: every rung reports the
+#: objective evaluated at the vertex it returns.
+_RIDGE = 1e-7
+
 
 def _new_highs():
     h = (_hs.Highs if hasattr(_hs, "Highs") else _hs._Highs)()
@@ -284,10 +293,19 @@ class IncrementalBackend:
         problem: "LPProblem",
         objective: "dict[int, float] | None",
         objective_const: float,
-        minimize: bool,
         bound: float,
-        regularization: float,
     ) -> LPSolution:
+        """Minimize ``objective·x + objective_const`` over the stored rows,
+        every column boxed at ``±bound`` (nonnegative columns at
+        ``[0, bound]``), down the robustness cascade.
+
+        Returns the values and the objective evaluated at them, with the
+        status of the rung that answered
+        (:func:`~repro.lp.backends.base.rung_status`).  Raises
+        :class:`LPInfeasibleError` when HiGHS proves the problem infeasible
+        at the requested box, :class:`LPError` when every rung fails, and
+        :class:`AnalysisTimeout` when an armed deadline expires.
+        """
         self.stats.solves += 1
         n = len(problem.pool)
         if n == 0:
@@ -296,7 +314,7 @@ class IncrementalBackend:
         base_cost = np.zeros(n)
         if objective is not None:
             for idx, coeff in objective.items():
-                base_cost[idx] = coeff if minimize else -coeff
+                base_cost[idx] = coeff
         nonneg_list = None
 
         # The robustness cascade, all on the persistent model.  Warm starts
@@ -307,9 +325,9 @@ class IncrementalBackend:
         # every simplex rung reports "unknown".
         attempts = [
             (0.0, bound, "choose"),
-            (regularization, bound, "choose"),
-            (regularization, min(bound, 1e9), "choose"),
-            (100 * regularization, min(bound, 1e8), "choose"),
+            (_RIDGE, bound, "choose"),
+            (_RIDGE, min(bound, 1e9), "choose"),
+            (100 * _RIDGE, min(bound, 1e8), "choose"),
             (0.0, bound, "ipm"),
         ]
         deadline = current_deadline()
@@ -362,11 +380,12 @@ class IncrementalBackend:
             if status == _hs.HighsModelStatus.kOptimal:
                 self._basis_valid = True
                 values = np.asarray(h.getSolution().col_value)
-                fun = float(h.getInfo().objective_function_value)
-                value = fun + (objective_const if minimize else -objective_const)
-                if not minimize:
-                    value = -value
-                return LPSolution(values, value, rung_status(reg, box, bound))
+                # The objective at the vertex: HiGHS's own objective value
+                # includes the ridge.
+                value = objective_const + sum(
+                    c * values[j] for j, c in (objective or {}).items()
+                )
+                return LPSolution(values, float(value), rung_status(reg, box, bound))
             if status == _hs.HighsModelStatus.kInfeasible and box == bound:
                 raise LPInfeasibleError(
                     "LP infeasible: no potential annotation of this shape exists "

@@ -15,11 +15,10 @@ delegated to the incremental warm-started HiGHS backend
 Solves route through the structure-exploiting reduction layer
 (:mod:`repro.lp.reduce`): a vectorized presolve over the backend's row
 buffers plus a connected-component block decomposition, with lexicographic
-cut rows appended to the live block models in reduced coordinates.  The
-layer is an overlay over the backend's row storage — checkpoints and
-rollbacks keep their semantics.  ``solve(reduce=False)`` is the direct
-backend solve: the path the reducer itself falls back to, and the oracle
-of the reduction tests.
+stage pins appended to the live block models.  The layer is an overlay
+over the backend's row storage — checkpoints and rollbacks keep their
+semantics.  ``solve(reduce=False)`` is the direct backend solve: the path
+the reducer itself falls back to, and the oracle of the reduction tests.
 """
 
 from __future__ import annotations
@@ -50,13 +49,8 @@ class LPProblem:
     _nonneg: set[int] = field(default_factory=set)
     _eq_notes: dict[int, str] = field(default_factory=dict)
     _ge_notes: dict[int, str] = field(default_factory=dict)
-    #: Contiguous λ-column spans recorded by certificate emission
-    #: (:func:`repro.logic.handelman.emit_nonneg_certificate`); the reduction
-    #: layer builds its nonnegativity mask from these without scanning the
-    #: Python-level index set.
-    _cert_spans: list[tuple[int, int]] = field(default_factory=list)
     #: Columns the reduction layer must keep in its solved core (objective
-    #: and cut-row columns); see :meth:`protect_columns`.
+    #: columns); see :meth:`protect_columns`.
     _protected: set[int] = field(default_factory=set)
     _reducer: "ReducedSolver | None" = field(default=None, repr=False)
 
@@ -82,27 +76,15 @@ class LPProblem:
     def nonneg_indices(self) -> set[int]:
         return self._nonneg
 
-    def note_cert_span(self, start: int, count: int) -> None:
-        """Record a contiguous run of certificate multiplier columns.
-
-        An emission hint: ``count`` λ-variables were just allocated at
-        indices ``start..start+count-1``.  Presolve uses the spans to build
-        its column masks vectorized instead of scanning the nonneg set.
-        """
-        if count > 0:
-            self._cert_spans.append((start, count))
-
-    @property
-    def cert_spans(self) -> list[tuple[int, int]]:
-        return self._cert_spans
-
     def protect_columns(self, indices) -> None:
-        """Declare columns that upcoming objectives or cut rows will touch.
+        """Declare the columns upcoming objectives will touch.
 
         The reduction layer may only eliminate unprotected columns from its
         solved core.  The declaration is a performance hint, not a safety
-        requirement: touching an undeclared eliminated column triggers an
-        automatic presolve recompute with that column protected.
+        requirement: an objective on an undeclared column protects it and
+        recomputes the reduction, as any row added outside
+        :meth:`pin_objective` does.  Declared up front, they keep every
+        stage after the first a warm re-solve of the live block models.
         """
         self._protected.update(indices)
 
@@ -218,26 +200,21 @@ class LPProblem:
     def solve(
         self,
         objective: AffForm | None = None,
-        minimize: bool = True,
         bound: float = 1e12,
-        regularization: float = 1e-7,
         reduce: bool = True,
     ) -> LPSolution:
-        """Solve the accumulated system, optimizing ``objective``.
+        """Solve the accumulated system, minimizing ``objective``.
 
         Free variables are boxed at ``±bound`` to rule out unbounded rays
         (an unbounded objective means the bound template is degenerate;
-        boxing keeps the solution meaningful and finite).
-
-        ``regularization`` adds a tiny cost on every nonnegative variable
-        (the Handelman certificate multipliers): certificates are massively
-        non-unique, and the resulting degenerate optimal faces are what
-        occasionally drives HiGHS to give up; preferring small certificates
-        breaks the ties at negligible cost to the optimum.
+        boxing keeps the solution meaningful and finite).  To maximize,
+        minimize the negated objective.
 
         ``reduce=False`` bypasses the reduction layer
-        (:mod:`repro.lp.reduce`) and hands the raw system to the backend.
-        Either path returns full-variable-space values.
+        (:mod:`repro.lp.reduce`) and hands the raw system to the backend,
+        whose robustness cascade both paths share
+        (:meth:`IncrementalBackend.solve`).  Either path returns
+        full-variable-space values and the objective evaluated at them.
         """
         from repro import faults
 
@@ -250,16 +227,12 @@ class LPProblem:
         if reduce:
             if self._reducer is None:
                 self._reducer = ReducedSolver(self)
-            return self._reducer.solve(
-                terms, const, minimize, bound, regularization
-            )
+            return self._reducer.solve(terms, const, bound)
         if self._reducer is not None:
             # A direct solve supersedes whatever the reducer last produced;
             # per-block pinning against its stale state would be invalid.
             self._reducer.last_was_reduced = False
-        return self.backend.solve(
-            self, terms, const, minimize, bound, regularization
-        )
+        return self.backend.solve(self, terms, const, bound)
 
     def pin_objective(
         self,

@@ -26,31 +26,34 @@ never sees from the raw rows:
     bounds, and columns that appear in no row go the same way.
 
   Each rule is exact on the optimum (the box relaxations are checked in
-  postsolve: a recovered value outside ``±lp_bound`` disables the layer
-  for that problem), so bounds with the reduction on or off agree to
-  solver tolerance.
+  postsolve: a recovered value outside ``±lp_bound`` protects its column
+  into the core and recomputes, and a problem that does not settle in
+  five rounds is solved directly), so bounds with the reduction on or off
+  agree to solver tolerance.
 * **Block structure.**  The reduced core decomposes per calling context:
   connected components of the variable–row bipartite graph are solved as
   *separate* LP models a fraction of the full size, with block solutions
   mapped back to the full variable space.
-* **Warm lexicographic re-solves.**  The pipeline's lexicographic loop adds
-  one cut row per stage.  Cut rows are projected into reduced coordinates
-  and appended to the live block models — blocks a cut couples are merged
-  on the fly — so every stage after the first re-optimizes a persistent
-  per-block model from its previous basis instead of cold-starting the
-  full system.
+* **Warm lexicographic re-solves.**  The pipeline's lexicographic loop pins
+  each stage optimum before the next stage.  The pin lands as one row per
+  block on the live block models (:meth:`ReducedSolver.pin_last_objective`),
+  so every stage after the first re-optimizes a persistent per-block model
+  from its previous basis instead of cold-starting the full system.
 
 Everything here is an *overlay*: the :class:`~repro.lp.problem.LPProblem`
 row storage is never mutated and checkpoints/rollbacks keep their existing
-semantics.  Columns that appear in stage objectives or cut rows must
-survive into the core; the pipeline declares them up front
-(:meth:`LPProblem.protect_columns`), and an undeclared objective/cut column
-that was eliminated triggers an automatic recompute with that column
-protected.  The layer is the only solve path the analyzer takes; the
-direct backend solve (``LPProblem.solve(reduce=False)``) survives as the
-fallback :meth:`ReducedSolver.solve` takes when a reduction cannot be
-used, and as the oracle against which ``tests/test_lp_reduce.py`` checks
-bound-level parity on the registry and fuzz corpus.
+semantics.  A reduction is a function of the rows at its snapshot, the
+``±bound`` box and the protected columns, and per-block pins are the only
+rows that enter live block models.  Any other change — a row added outside
+:meth:`LPProblem.pin_objective`, an objective on a column not yet protected
+— recomputes the reduction.  The pipeline declares every objective column
+up front (:meth:`LPProblem.protect_columns`) and lands every stage cut as
+per-block pins, so it never recomputes for either reason.  The layer is the
+only solve path the analyzer takes; the direct backend solve
+(``LPProblem.solve(reduce=False)``) survives as the fallback
+:meth:`ReducedSolver.solve` takes when a reduction cannot be used, and as
+the oracle against which ``tests/test_lp_reduce.py`` checks bound-level
+parity on the registry and fuzz corpus.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ _GE_SLACK = "ge_slack"  # λ singleton column satisfied its inequality alone
 class _Invalidate(Exception):
     """Internal: the cached reduction no longer matches the problem.
 
-    ``protect`` names columns that must survive the next presolve because an
-    objective or cut row referenced them after they had been eliminated.
+    ``protect`` names columns that must survive the next presolve because
+    postsolve lifted them out of the ``±bound`` box.
     """
 
     def __init__(self, protect: "tuple[int, ...] | list[int]" = ()) -> None:
@@ -195,10 +198,10 @@ class _PristineBlock:
 
 
 class _LiveBlock:
-    """A pristine block (or a stacked / cut-merged union) with a live backend."""
+    """A pristine block (or a stacked union) with a live backend."""
 
     __slots__ = (
-        "gcols", "local_of", "backend", "shim", "pristine_ids",
+        "gcols", "local_of", "backend", "shim",
         "dirty", "last_values", "last_obj", "last_opt",
     )
 
@@ -209,13 +212,11 @@ class _LiveBlock:
         nonneg: set[int],
         backend: "IncrementalBackend",
         owner: "LPProblem",
-        pristine_ids: tuple[int, ...],
     ) -> None:
         self.gcols = gcols
         self.local_of = local_of
         self.backend = backend
         self.shim = _BlockProblem(len(gcols), nonneg, owner)
-        self.pristine_ids = pristine_ids
         #: ``dirty`` marks blocks whose row set changed since the last solve;
         #: a clean block with no objective terms keeps its previous feasible
         #: point instead of paying another (trivial but non-free) solve.
@@ -236,18 +237,12 @@ class _Reduction:
     bound: float
     protected: frozenset[int]
     fixed_of: dict[int, float]
-    #: Columns fixed by *optimality* arguments (λ = 0 because it can only
-    #: hurt its row), not by exact substitution: valid for the solved core,
-    #: but a later objective or row touching one must resurrect it.
-    opt_fixed: set[int]
     fixed_cols: np.ndarray  # full-space ids (parallel to fixed_vals)
     fixed_vals: np.ndarray
     #: Postsolve log, in elimination order: ``(rule, col, coeff, rhs, rest)``
     #: where the eliminated column satisfied ``rest·x + coeff*col == / >= rhs``
     #: at elimination time.  Values are recovered by a reverse walk.
     elim: list[tuple[str, int, float, float, dict[int, float]]]
-    elim_cols: set[int]
-    zero_cols: set[int]
     col_block: dict[int, int]  # full col -> pristine block id (core cols only)
     blocks: list[_PristineBlock]
     stats: ReductionStats
@@ -263,17 +258,14 @@ def _worse_status(a: str, b: str) -> str:
 
 
 def _pin_row(
-    obj: dict[int, float], opt: float, margin: float, minimize: bool
+    obj: dict[int, float], opt: float, margin: float
 ) -> tuple[dict[int, float], float]:
-    """GE-row ``(terms, const)`` holding ``obj`` within ``margin`` of ``opt``.
-
-    Minimizing: ``obj·x <= opt + margin`` i.e. ``-obj·x >= -(opt + margin)``;
-    maximizing: ``obj·x >= opt - margin``.  ``const`` follows the backend
+    """GE-row ``(terms, const)`` holding the minimized ``obj`` within
+    ``margin`` of ``opt``: ``obj·x <= opt + margin``, i.e.
+    ``-obj·x >= -(opt + margin)``.  ``const`` follows the backend
     ``add_row`` convention (``rhs = -const``).
     """
-    if minimize:
-        return {j: -c for j, c in obj.items()}, opt + margin
-    return dict(obj), -(opt - margin)
+    return {j: -c for j, c in obj.items()}, opt + margin
 
 
 class ReducedSolver:
@@ -282,11 +274,13 @@ class ReducedSolver:
     One instance is attached lazily to a problem the first time it solves
     with the reduction enabled.  The reduction (presolve result + block
     partition) is computed from the backend's row buffers at that point and
-    reused for every subsequent solve; rows added afterwards — the
-    lexicographic stage cuts — are projected into reduced coordinates and
-    appended to the live block models, merging blocks a cut couples.
-    Rollbacks restore the pristine partition (below-snapshot rollbacks
-    invalidate the reduction entirely).
+    reused for every subsequent solve while the rows, the box and the
+    protected columns stay as they were.  The lexicographic stage pins are
+    the only rows added to the live block models
+    (:meth:`pin_last_objective`); any other new row, and any objective on a
+    column not yet protected, recomputes the reduction.  Rollbacks of pins
+    rebuild the live models from the pristine partition (below-snapshot
+    rollbacks invalidate the reduction entirely).
 
     Thread safety follows the problem façade: callers serialize solves and
     rollbacks (the pipeline holds the owning ``ConstraintSystem``'s lock).
@@ -301,20 +295,13 @@ class ReducedSolver:
         self._extra_protect: set[int] = set()
         self._disabled = False
         self._pinned = False
-        #: Eliminated zero columns whose stage choice was pinned by the
-        #: lexicographic loop; later stages keep these values instead of
-        #: re-deriving them from their own objective signs.
-        self._pinned_zero: dict[int, float] = {}
         #: Whether the most recent ``solve`` on the owning problem actually
         #: went through the reduced path (False after fallbacks), which is
         #: what makes per-block pinning valid.
         self.last_was_reduced = False
-        self._last_zero_choices: dict[int, float] = {}
-        self._last_minimize = True
-        #: Cumulative counters across merges/invalidations, for tests and
+        #: Cumulative counters across invalidations, for tests and
         #: ``--profile``.
         self.solve_calls = 0
-        self.block_merges = 0
         self.block_pins = 0
         self.invalidations = 0
         self.last_block_seconds: list[tuple[int, float]] = []
@@ -332,7 +319,6 @@ class ReducedSolver:
             return None
         out = reduction.stats.snapshot()
         out["solve_calls"] = self.solve_calls
-        out["block_merges"] = self.block_merges
         out["stacked_groups"] = self.stacked_groups
         out["stacked_sizes"] = list(self.stacked_sizes)
         if include_times:
@@ -351,19 +337,12 @@ class ReducedSolver:
             self._reduction = None
             self._live = None
             self.invalidations += 1
-        elif (
-            self._pinned
-            or checkpoint.eq < self._applied[EQ]
-            or checkpoint.ge < self._applied[GE]
-        ):
-            # Only post-snapshot rows (cuts / per-block pins) were dropped:
-            # the mapping stays valid, the live block models are rebuilt
-            # lazily from the pristine partition.
+        elif self._pinned:
+            # Only post-snapshot rows, the rows of per-block pins, can be
+            # gone: the mapping stays valid, and the live block models are
+            # rebuilt lazily from the pristine partition.
             self._live = None
         self._pinned = False
-        self._pinned_zero.clear()
-        self._applied = {EQ: min(self._applied[EQ], checkpoint.eq),
-                        GE: min(self._applied[GE], checkpoint.ge)}
 
     def pin_last_objective(self, tolerance: float) -> "float | None":
         """Pin every block at its last stage optimum (per-block lex cut).
@@ -377,16 +356,12 @@ class ReducedSolver:
         pinned region is a *subset* of the coupled cut's (any point
         satisfying every block pin satisfies the summed cut).  The pinned
         stages therefore sit between the exact lexicographic optimum and
-        the coupled-cut formulation — and no blocks ever need merging,
+        the coupled-cut formulation — and the cut never couples blocks,
         which keeps every later stage a warm re-solve of a small
         persistent model.  Each block's share is floored at the solver's
         feasibility-tolerance scale so a pin can never render its block
         numerically infeasible; the floor only lifts the total above
         ``tolerance`` in the pathological many-tiny-blocks case.
-
-        Objective terms on eliminated zero columns are pinned analytically:
-        the stage solve already chose each such column's optimal box end,
-        and later stages simply keep that value (an exact, zero-margin pin).
 
         Returns the total applied margin (the sum of the per-block margins,
         in the objective's own units), or ``None`` when pinning is not
@@ -395,7 +370,6 @@ class ReducedSolver:
         """
         if not self.last_was_reduced or self._live is None:
             return None
-        self._pinned_zero.update(self._last_zero_choices)
         pinnable = [
             block
             for block in self._live
@@ -409,9 +383,7 @@ class ReducedSolver:
                 tolerance * share, 10 * _FEAS_TOL * (1.0 + abs(block.last_opt))
             )
             applied += margin
-            terms, const = _pin_row(
-                block.last_obj, block.last_opt, margin, self._last_minimize
-            )
+            terms, const = _pin_row(block.last_obj, block.last_opt, margin)
             block.backend.add_row(GE, terms, const)
             block.dirty = True
             self.block_pins += 1
@@ -425,7 +397,8 @@ class ReducedSolver:
         in the problem's row storage (so rollbacks, diagnostics, and any
         later unreduced or recomputed-reduction solve see it), but its
         constraint is represented inside the live blocks by the per-block
-        pins, so projecting it again would double-pin.
+        pins; unmarked, :meth:`_ensure` would take it for a new row and
+        recompute the reduction.
         """
         self._applied[kind] = self.problem.backend.num_rows(kind)
 
@@ -433,22 +406,21 @@ class ReducedSolver:
         self,
         objective: "dict[int, float] | None",
         objective_const: float,
-        minimize: bool,
         bound: float,
-        regularization: float,
     ) -> LPSolution:
         problem = self.problem
         self.last_was_reduced = False
         if self._disabled or len(problem.pool) == 0:
-            return problem.backend.solve(
-                problem, objective, objective_const, minimize, bound, regularization
-            )
+            return problem.backend.solve(problem, objective, objective_const, bound)
+        if objective:
+            # An objective column must be fixed outright or sit in the core;
+            # an undeclared one grows the protected set, and ``_ensure``
+            # recomputes the reduction around it.
+            self._extra_protect.update(objective)
         for _ in range(5):
             try:
                 self._ensure(bound)
-                return self._solve_reduced(
-                    objective, objective_const, minimize, bound, regularization
-                )
+                return self._solve_reduced(objective, objective_const, bound)
             except _Invalidate as stale:
                 self._extra_protect.update(stale.protect)
                 self._reduction = None
@@ -459,9 +431,7 @@ class ReducedSolver:
         # stop reducing this problem for good rather than paying the
         # recompute on every solve.
         self._disabled = True
-        return problem.backend.solve(
-            problem, objective, objective_const, minimize, bound, regularization
-        )
+        return problem.backend.solve(problem, objective, objective_const, bound)
 
     # -- reduction lifecycle ------------------------------------------------
 
@@ -476,8 +446,6 @@ class ReducedSolver:
             if (
                 reduction.ncols != len(problem.pool)
                 or reduction.bound != bound
-                or backend.num_rows(EQ) < reduction.snapshot.eq
-                or backend.num_rows(GE) < reduction.snapshot.ge
                 or not (self._protected() <= reduction.protected)
             ):
                 raise _Invalidate
@@ -487,11 +455,14 @@ class ReducedSolver:
             )
             self._live = None
             self._pinned = False
-            self._applied = {EQ: reduction.snapshot.eq, GE: reduction.snapshot.ge}
         if self._live is None:
             self._live = self._build_live()
             self._applied = {EQ: reduction.snapshot.eq, GE: reduction.snapshot.ge}
-        self._apply_new_rows()
+        if any(backend.num_rows(kind) != self._applied[kind] for kind in (EQ, GE)):
+            # The live blocks hold the snapshot's rows plus the absorbed
+            # per-block pins; any other row, or a rollback below the
+            # snapshot, needs a new reduction.
+            raise _Invalidate
 
     def _block_backend(self) -> "IncrementalBackend":
         # Blocks solve through a fresh instance of the problem's backend
@@ -570,131 +541,8 @@ class ReducedSolver:
                     offset += len(part.gcols)
             for bid in group:
                 self._live_of_pristine[bid] = len(live)
-            live.append(
-                _LiveBlock(
-                    gcols, local_of, nonneg, backend, self.problem, tuple(group)
-                )
-            )
+            live.append(_LiveBlock(gcols, local_of, nonneg, backend, self.problem))
         return live
-
-    def _live_block_of(self, col: int) -> int | None:
-        """Index into ``self._live`` of the block holding full-space ``col``."""
-        bid = self._reduction.col_block.get(col)
-        if bid is None:
-            return None
-        return self._live_of_pristine.get(bid)
-
-    def _apply_new_rows(self) -> None:
-        backend = self.problem.backend
-        for kind in (EQ, GE):
-            total = backend.num_rows(kind)
-            applied = self._applied[kind]
-            if total == applied:
-                continue
-            starts, cols, vals, rhs = backend.row_arrays(kind, applied, total)
-            for r in range(total - applied):
-                lo, hi = starts[r], starts[r + 1]
-                self._apply_row(kind, cols[lo:hi], vals[lo:hi], float(rhs[r]))
-                # Advance per row: an infeasible row raising mid-batch must
-                # not leave already-projected rows unaccounted (a later
-                # rollback would otherwise keep them as phantom constraints).
-                self._applied[kind] = applied + r + 1
-
-    def _apply_row(self, kind: str, cols: np.ndarray, vals: np.ndarray, rhs: float) -> None:
-        """Project one post-snapshot row into reduced coordinates and append."""
-        reduction = self._reduction
-        live_terms: list[tuple[int, int, float]] = []  # (live block, full col, coeff)
-        touched: list[int] = []
-        resurrect: list[int] = []
-        for col, val in zip(cols.tolist(), vals.tolist()):
-            if col in reduction.opt_fixed:
-                # Fixed by an optimality argument only; a new row touching
-                # it changes what "optimal" means, so put it back.
-                resurrect.append(col)
-                continue
-            fixed = reduction.fixed_of.get(col)
-            if fixed is not None:
-                rhs -= val * fixed
-                continue
-            if col in reduction.elim_cols or col in reduction.zero_cols:
-                # The row references a column presolve eliminated; recompute
-                # with that column protected into the core.
-                resurrect.append(col)
-                continue
-            lid = self._live_block_of(col)
-            if lid is None:
-                resurrect.append(col)
-                continue
-            live_terms.append((lid, col, val))
-            if lid not in touched:
-                touched.append(lid)
-        if resurrect:
-            raise _Invalidate(resurrect)
-        if not touched:
-            # Fully resolved by fixed columns: a residual feasibility check.
-            slack = _FEAS_TOL * (1.0 + abs(rhs))
-            if (kind == EQ and abs(rhs) > slack) or (kind == GE and rhs > slack):
-                raise LPInfeasibleError(
-                    "LP infeasible: a lexicographic cut contradicts presolve-"
-                    "fixed variables",
-                    diagnostics=self.problem.infeasibility_diagnostics(),
-                )
-            return
-        if len(touched) > 1:
-            target = self._merge(touched)
-        else:
-            target = self._live[touched[0]]
-        terms = {target.local_of[col]: val for _, col, val in live_terms}
-        target.backend.add_row(kind, terms, -rhs)
-        target.dirty = True
-
-    def _merge(self, live_ids: list[int]) -> _LiveBlock:
-        """Fuse the live blocks a cut row couples into one model.
-
-        The merged model re-ingests every constituent's current rows —
-        including cuts appended earlier in the lexicographic loop — in
-        block order, so the merged system is exactly the union of the
-        constituents.  The constituents' backends are discarded; rollback
-        restores the pristine partition.
-        """
-        self.block_merges += 1
-        parts = [self._live[i] for i in sorted(live_ids)]
-        gcols = np.concatenate([p.gcols for p in parts])
-        local_of: dict[int, int] = {}
-        nonneg: set[int] = set()
-        offset = 0
-        for part in parts:
-            for col, local in part.local_of.items():
-                local_of[col] = local + offset
-            nonneg.update(local + offset for local in part.shim.nonneg_indices)
-            offset += len(part.gcols)
-        backend = self._block_backend()
-        for kind in (EQ, GE):
-            offset = 0
-            for part in parts:
-                starts, pcols, pvals, prhs = part.backend.row_arrays(kind)
-                for r in range(len(prhs)):
-                    lo, hi = starts[r], starts[r + 1]
-                    terms = {
-                        int(c) + offset: float(v)
-                        for c, v in zip(pcols[lo:hi], pvals[lo:hi])
-                    }
-                    backend.add_row(kind, terms, -float(prhs[r]))
-                offset += len(part.gcols)
-        merged = _LiveBlock(
-            gcols,
-            local_of,
-            nonneg,
-            backend,
-            self.problem,
-            tuple(pid for p in parts for pid in p.pristine_ids),
-        )
-        self._live = [b for i, b in enumerate(self._live) if i not in set(live_ids)]
-        self._live.append(merged)
-        self._live_of_pristine = {
-            pid: i for i, block in enumerate(self._live) for pid in block.pristine_ids
-        }
-        return merged
 
     # -- solving ------------------------------------------------------------
 
@@ -702,9 +550,7 @@ class ReducedSolver:
         self,
         objective: "dict[int, float] | None",
         objective_const: float,
-        minimize: bool,
         bound: float,
-        regularization: float,
     ) -> LPSolution:
         reduction = self._reduction
         self.solve_calls += 1
@@ -715,55 +561,18 @@ class ReducedSolver:
         total = 0.0
         status = "optimal"
 
-        # Split the objective over blocks; fixed columns contribute a
-        # constant, eliminated zero columns sit at their optimal bound.
+        # Split the objective over blocks.  ``solve`` protected every
+        # objective column, and a protected column is either fixed by a
+        # singleton equality (a constant here) or in the core: the column
+        # rules skip it, and a row-free one gets a singleton block.
         block_objs: dict[int, dict[int, float]] = {}
-        zero_terms: list[tuple[int, float]] = []
-        self._last_zero_choices = {}
-        if objective:
-            resurrect: list[int] = []
-            for col, coeff in objective.items():
-                if col in reduction.opt_fixed:
-                    # λ = 0 was an optimality choice for objective-free
-                    # columns; an objective on it invalidates the choice.
-                    resurrect.append(col)
-                    continue
-                fixed = reduction.fixed_of.get(col)
-                if fixed is not None:
-                    total += coeff * fixed
-                    continue
-                if col in reduction.zero_cols:
-                    zero_terms.append((col, coeff))
-                    continue
-                if col in reduction.elim_cols:
-                    resurrect.append(col)
-                    continue
-                lid = self._live_block_of(col)
-                if lid is None:
-                    resurrect.append(col)
-                    continue
-                block = self._live[lid]
-                block_objs.setdefault(lid, {})[block.local_of[col]] = coeff
-            if resurrect:
-                raise _Invalidate(resurrect)
-            for col, coeff in zero_terms:
-                # A column in no row: the solver would drive it to whichever
-                # end of its box the cost prefers — unless an earlier
-                # lexicographic stage already pinned its choice.
-                pinned = self._pinned_zero.get(col)
-                if pinned is not None:
-                    val = pinned
-                else:
-                    cost = coeff if minimize else -coeff
-                    if cost > 0.0:
-                        val = 0.0 if col in self.problem.nonneg_indices else -bound
-                    elif cost < 0.0:
-                        val = bound
-                    else:  # pragma: no cover - zero coefficients are dropped upstream
-                        val = 0.0
-                values[col] = val
-                total += coeff * val
-                self._last_zero_choices[col] = val
+        for col, coeff in (objective or {}).items():
+            fixed = reduction.fixed_of.get(col)
+            if fixed is not None:
+                total += coeff * fixed
+                continue
+            lid = self._live_of_pristine[reduction.col_block[col]]
+            block_objs.setdefault(lid, {})[self._live[lid].local_of[col]] = coeff
 
         self.last_block_seconds = []
         pending: list[tuple[int, _LiveBlock, "dict[int, float] | None"]] = []
@@ -778,9 +587,7 @@ class ReducedSolver:
                 continue
             pending.append((lid, block, local_obj))
 
-        solutions = self._solve_blocks_sequential(
-            pending, minimize, bound, regularization
-        )
+        solutions = self._solve_blocks_sequential(pending, bound)
 
         for lid, block, local_obj in pending:
             solution = solutions[lid]
@@ -788,15 +595,9 @@ class ReducedSolver:
             block.last_values = solution.values
             block.dirty = False
             if local_obj:
-                # Evaluate the *base* objective at the returned vertex: on
-                # the degraded cascade rungs the backend's reported value
-                # includes the tie-breaking ridge on the certificate
-                # multipliers, which is solver bookkeeping, not the stage
-                # optimum the lexicographic pipeline records and pins.
-                opt = sum(c * solution.values[j] for j, c in local_obj.items())
-                total += opt
+                total += solution.objective
                 block.last_obj = local_obj
-                block.last_opt = opt
+                block.last_opt = solution.objective
             else:
                 block.last_obj = None
                 block.last_opt = None
@@ -818,22 +619,19 @@ class ReducedSolver:
         # (and their boxes) back into the core, which cuts off exactly the
         # offending ray, and the solve retries on the recomputed reduction.
         if self._postsolve(values, bound):
-            self._cleanup_riders(values, minimize, bound, regularization)
+            self._cleanup_riders(values, bound)
             out_of_box = self._postsolve(values, bound)
             if out_of_box:
                 raise _Invalidate(out_of_box)
 
         value = total + objective_const
         self.last_was_reduced = True
-        self._last_minimize = minimize
         return LPSolution(values, value, status)
 
     def _solve_blocks_sequential(
         self,
         pending: "list[tuple[int, _LiveBlock, dict[int, float] | None]]",
-        minimize: bool,
         bound: float,
-        regularization: float,
     ) -> dict[int, LPSolution]:
         solutions: dict[int, LPSolution] = {}
         deadline = current_deadline()
@@ -844,9 +642,7 @@ class ReducedSolver:
                 # the budget by a whole block.
                 deadline.check("lp.block")
             started = time.perf_counter()
-            solutions[lid] = block.backend.solve(
-                block.shim, local_obj, 0.0, minimize, bound, regularization
-            )
+            solutions[lid] = block.backend.solve(block.shim, local_obj, 0.0, bound)
             self.last_block_seconds.append((lid, time.perf_counter() - started))
         return solutions
 
@@ -867,13 +663,7 @@ class ReducedSolver:
             values[col] = value
         return out_of_box
 
-    def _cleanup_riders(
-        self,
-        values: np.ndarray,
-        minimize: bool,
-        bound: float,
-        regularization: float,
-    ) -> None:
+    def _cleanup_riders(self, values: np.ndarray, bound: float) -> None:
         """Move box-riding blocks to a small-certificate optimal vertex.
 
         For every block with a core variable near the ``±bound`` box, pin
@@ -902,13 +692,9 @@ class ReducedSolver:
             try:
                 if block.last_obj is not None and block.last_opt is not None:
                     margin = 1e-6 * (1.0 + abs(block.last_opt))
-                    terms, const = _pin_row(
-                        block.last_obj, block.last_opt, margin, minimize
-                    )
+                    terms, const = _pin_row(block.last_obj, block.last_opt, margin)
                     backend.add_row(GE, terms, const)
-                cleanup = backend.solve(
-                    block.shim, cleanup_obj, 0.0, True, bound, regularization
-                )
+                cleanup = backend.solve(block.shim, cleanup_obj, 0.0, bound)
             except LPError:
                 continue  # keep the original vertex; the caller re-checks
             finally:
@@ -924,20 +710,8 @@ class ReducedSolver:
 
 
 def _nonneg_mask(problem: "LPProblem", n: int) -> np.ndarray:
-    """Boolean nonnegativity mask over the variable pool.
-
-    The Handelman emitter marks its λ-column spans at emission time
-    (:meth:`LPProblem.note_cert_span`); when the spans cover every
-    nonnegative variable — they do for derivation-produced systems, where
-    ``fresh_nonneg`` is only called by certificate emission — the mask is
-    filled span-by-span without scanning the Python-level index set.
-    """
+    """Boolean nonnegativity mask over the variable pool."""
     mask = np.zeros(n, dtype=bool)
-    spans = problem.cert_spans
-    if spans and sum(count for _, count in spans) == len(problem.nonneg_indices):
-        for start, count in spans:
-            mask[start : start + count] = True
-        return mask
     if problem.nonneg_indices:
         mask[np.fromiter(problem.nonneg_indices, dtype=np.int64, count=-1)] = True
     return mask
@@ -988,7 +762,6 @@ def _compute_reduction(
             colrows.setdefault(col, set()).add(i)
 
     fixed_of: dict[int, float] = {}
-    opt_fixed: set[int] = set()
     elim: list[tuple[str, int, float, float, dict[int, float]]] = []
 
     def check_residual(kind: str, rhs: float) -> None:
@@ -1099,10 +872,10 @@ def _compute_reduction(
                     kill_row(i)
                 else:
                     # λ only hurts the inequality: any optimum can take λ = 0.
-                    # An optimality (not substitution) fix — recorded so a
-                    # later objective or row on the column resurrects it.
+                    # An optimality (not substitution) fix, valid while no
+                    # objective or later row touches the column: objective
+                    # columns are protected, and a later row recomputes.
                     fixed_of[col] = 0.0
-                    opt_fixed.add(col)
                     del terms[col]
                     colrows[col].discard(i)
                     row_work.append(i)
@@ -1152,10 +925,9 @@ def _compute_reduction(
     if elim_cols:
         mentioned[np.fromiter(elim_cols, dtype=np.int64, count=len(elim_cols))] = True
     zero_cols.update(np.nonzero(~mentioned)[0].tolist())
-    # Protected row-free columns become singleton blocks below — objectives,
-    # pins, and cut rows address them like any core column (a protected
-    # column classified as "zero" could never be resurrected: protection
-    # only guards against *elimination rules*, and a row-free column has no
+    # Protected row-free columns become singleton blocks below, so
+    # objectives and pins address them like any core column (protection
+    # only guards against the column rules, and a row-free column has no
     # row to keep).
     protected_zero = sorted(zero_cols & protected)
     zero_cols.difference_update(protected_zero)
@@ -1250,12 +1022,9 @@ def _compute_reduction(
         bound=bound,
         protected=protected,
         fixed_of=fixed_of,
-        opt_fixed=opt_fixed,
         fixed_cols=fixed_cols,
         fixed_vals=fixed_vals,
         elim=elim,
-        elim_cols=elim_cols,
-        zero_cols=zero_cols,
         col_block=col_block,
         blocks=blocks,
         stats=stats,

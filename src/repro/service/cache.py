@@ -57,7 +57,10 @@ from repro.lang.printer import canonical_program
 #: 5: results hold plain Python floats, not numpy scalars, so reading one
 #: back loads no numpy; a v4 result would still load numpy and print the
 #: coefficients numpy rounded.
-CACHE_FORMAT = 5
+#: 6: ``lp_reduction`` stats lose ``block_merges`` and a cached
+#: ``LPProblem`` loses its certificate spans; direct solves report the
+#: objective at the vertex, not HiGHS's value with the ridge included.
+CACHE_FORMAT = 6
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 

@@ -38,11 +38,12 @@ def direct_solves():
     )
 
 
-def scripted_statuses(statuses: dict[str, str]):
+def scripted_statuses(statuses: dict[str, str], runs: "int | None" = None):
     """Every HiGHS model built inside reports ``statuses[solver]`` (a
     ``HighsModelStatus`` name) after a run under that ``solver`` option:
     ``"choose"`` on the simplex rungs, ``"ipm"`` on the last one.  Runs
-    under a solver not in ``statuses`` report their real status."""
+    under a solver not in ``statuses``, and with ``runs`` set every run of
+    a model after its first ``runs``, report their real status."""
     new_highs = incremental._new_highs
     model_status = incremental._hs.HighsModelStatus
 
@@ -50,6 +51,7 @@ def scripted_statuses(statuses: dict[str, str]):
         def __init__(self):
             self._highs = new_highs()
             self._solver = self._ran = "choose"
+            self._runs = 0
 
         def __getattr__(self, name):
             return getattr(self._highs, name)
@@ -61,10 +63,11 @@ def scripted_statuses(statuses: dict[str, str]):
 
         def run(self):
             self._ran = self._solver
+            self._runs += 1
             return self._highs.run()
 
         def getModelStatus(self):
-            if self._ran in statuses:
+            if self._ran in statuses and (runs is None or self._runs <= runs):
                 return getattr(model_status, statuses[self._ran])
             return self._highs.getModelStatus()
 

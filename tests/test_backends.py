@@ -40,10 +40,12 @@ def registry_names():
     return sorted(registry.all_benchmarks())
 
 
-def bench_options(name: str) -> AnalysisOptions:
+def bench_options(name: str, registered: bool = False) -> AnalysisOptions:
+    """``name``'s registered options at moment degree 2, or at its
+    registered degree."""
     bench = registry.get(name)
     return AnalysisOptions(
-        moment_degree=2,
+        moment_degree=bench.moment_degree if registered else 2,
         template_degree=bench.template_degree,
         degree_cap=bench.degree_cap,
         objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
@@ -211,17 +213,38 @@ class TestIncrementalAssembly:
 
     def test_reduced_pins_are_appended_to_block_models(self):
         """With the reduction layer on, the lexicographic stage pins land on
-        the live per-block models via addRows — no block is ever merged or
-        rebuilt by the stage loop."""
-        pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        options = AnalysisOptions(moment_degree=3)
-        pipe.analyze(options)
-        reducer = pipe.constraint_system(options).lp._reducer
-        assert reducer is not None and reducer.last_was_reduced
-        assert reducer.block_merges == 0
-        assert reducer.block_pins >= 1  # at least one non-constant stage pinned
-        # The *problem* backend never solved anything itself.
-        assert pipe.constraint_system(options).lp.backend.stats.solves == 0
+        the live per-block models via addRows, and the pipeline never makes
+        the reducer recompute: it protects every objective column up front
+        and adds no row outside the pins.  Any other row would cost a full
+        presolve and cold block models at the next stage.  Checked on the
+        registry programs at their registered options and on the fig10
+        programs at m=4, each on a fresh pipeline."""
+        from repro.programs.synthetic import coupon_chain, rdwalk_chain
+
+        inputs = [
+            (name, registry.parsed(name), bench_options(name, registered=True))
+            for name in registry_names()
+        ]
+        inputs += [
+            (name, program, AnalysisOptions(moment_degree=4))
+            for name, program in (
+                ("cc4", coupon_chain(4)),
+                ("cc8", coupon_chain(8)),
+                ("cc16", coupon_chain(16)),
+                ("rw2", rdwalk_chain(2)),
+            )
+        ]
+        for name, program, options in inputs:
+            pipe = AnalysisPipeline(program)
+            pipe.analyze(options)
+            lp = pipe.constraint_system(options).lp
+            reducer = lp._reducer
+            assert reducer is not None and reducer.last_was_reduced, name
+            assert reducer.invalidations == 0, name
+            # The *problem* backend never solved anything itself.
+            assert lp.backend.stats.solves == 0, name
+            if name == "rdwalk":
+                assert reducer.block_pins >= 1  # a non-constant stage pinned
 
     def test_cold_models_rebuild_per_stage(self):
         """``cold_models()`` lands: every stage builds a fresh model."""
@@ -234,9 +257,9 @@ class TestIncrementalAssembly:
 
     @pytest.mark.parametrize("backend", [IncrementalBackend], ids=["incremental"])
     def test_cut_rows_added_after_reduction_roll_back_cleanly(self, backend):
-        """Rows appended after the reduction snapshot (the lexicographic
-        cuts) are projected onto the live blocks; rolling them back must
-        restore the pristine partition and reproduce the original optimum."""
+        """A row appended after the reduction snapshot recomputes the
+        reduction; rolling it back must recompute again and reproduce the
+        original optimum."""
         lp = LPProblem(backend=backend())
         x, y = lp.fresh("x"), lp.fresh("y")
         lam = lp.fresh_nonneg("lam")
@@ -248,7 +271,7 @@ class TestIncrementalAssembly:
         assert first.value_of(lam) == pytest.approx(2.0)
         cp = lp.checkpoint()
         # A cut that spans both blocks (x and y live in separate
-        # components) forces a block merge on the reduced path.
+        # components) recomputes the reduction on the reduced path.
         lp.add_ge(AffForm.of_var(x) + AffForm.of_var(y) - 10.0)
         cut = lp.solve(AffForm.of_var(x) + AffForm.of_var(y))
         assert cut.objective == pytest.approx(10.0)
@@ -376,6 +399,26 @@ class TestIpmLastRung:
                 lp.solve(objective, reduce=False)
 
 
+class TestRidgeRung:
+    def test_ridge_rung_reports_the_objective_at_its_vertex(self):
+        """The ridge rungs add a tie-breaking cost on the nonnegative
+        columns; the reported optimum must leave it out.  On this LP the
+        objective is 0 at every feasible point, and HiGHS ends the ridge
+        rung at x3 = 1e12, where the ridge alone costs 1e5."""
+        lp = LPProblem()
+        x0, x1, x2 = (AffForm.of_var(lp.fresh(f"x{j}")) for j in range(3))
+        x3 = AffForm.of_var(lp.fresh_nonneg("x3"))
+        lp.add_eq(x0 * -1.0 + x1 + x2 * 2.0 - x3)
+        lp.add_ge(x2 + x3)
+        lp.add_eq(x1 - x2)
+        objective = x0 * -1.0 + x2 * 3.0 - x3
+        with scripted_statuses({"choose": "kUnknown"}, runs=1):
+            solution = lp.solve(objective, reduce=False)
+        assert solution.status == "optimal:regularized"
+        at_vertex = sum(c * solution.values[j] for j, c in objective.terms.items())
+        assert solution.objective == at_vertex
+
+
 #: The ±bound box every LP column sits in (``LPProblem.solve``'s default).
 BOX = 1e12
 
@@ -405,9 +448,8 @@ class TestExactReference:
     minimum ``v`` must be attained, ``Γ ∧ obj ≤ v + ε`` satisfiable, and,
     when the plain problem was solved (status ``optimal``), be the minimum:
     ``Γ ⊨ obj ≥ v − ε``.  The degraded rungs' values are upper estimates
-    only (see :func:`repro.lp.backends.base.rung_status`); the direct path
-    reports them with the ridge cost included.  A reported infeasibility
-    needs an infeasible Γ.
+    only (see :func:`repro.lp.backends.base.rung_status`).  A reported
+    infeasibility needs an infeasible Γ.
 
     ``ε = 1e-6·(1 + |v|)`` plus 16 ulps of the vertex's largest entry per
     unit of objective coefficient: a vertex on the 1e12 box meets its rows

@@ -352,7 +352,7 @@ class TestHandelman:
             lambda c: AffForm.of_var(u, float(c)) - 2.0
         )
         emit_nonneg_certificate(lp, ctx, poly, 1)
-        solution = lp.solve(AffForm.of_var(u), minimize=True)
+        solution = lp.solve(AffForm.of_var(u))
         assert solution.value_of(u) >= 2.0 - 1e-6
 
     def test_zero_poly_no_constraints(self):

@@ -20,8 +20,9 @@ class TestLPProblem:
         lp = LPProblem()
         x = lp.fresh("x")
         lp.add_le(AffForm.of_var(x) - 5.0)
-        solution = lp.solve(AffForm.of_var(x), minimize=False)
-        assert solution.objective == pytest.approx(5.0)
+        # Maximize x by minimizing -x.
+        solution = lp.solve(AffForm.of_var(x) * -1.0)
+        assert solution.objective == pytest.approx(-5.0)
 
     def test_equalities(self):
         lp = LPProblem()

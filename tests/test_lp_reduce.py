@@ -7,7 +7,9 @@ Three levels of coverage:
   zero columns, infeasibility detection, the block decomposition with
   full-space value recovery, and same-shape block stacking;
 * the ``reduce`` argument of :meth:`LPProblem.solve` — on by default,
-  ``reduce=False`` routes a solve to the direct backend;
+  ``reduce=False`` routes a solve to the direct backend — and drawn
+  sequences of row additions, checkpoints, rollbacks and solves on which
+  the two paths must agree;
 * registry-wide parity — resolved moment bounds through the reduction and
   through direct solves (the oracle, reached by patching; see
   ``_lp_paths``) agree to solver tolerance on every registry program (the
@@ -18,11 +20,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _lp_paths import direct_solves
 from repro import AnalysisOptions, AnalysisPipeline, analyze
 from repro.lp.affine import AffForm
-from repro.lp.problem import LPInfeasibleError, LPProblem
+from repro.lp.backends.base import EQ, GE
+from repro.lp.problem import LPError, LPInfeasibleError, LPProblem
 from repro.lp.reduce import ReducedSolver
 from repro.programs import registry
 
@@ -96,8 +101,8 @@ class TestPresolveRules:
         stats = self._stats(lp)
         assert stats["slack_cols"] == 1
         # Driving x up must stretch the recovered slack accordingly.
-        solution = lp.solve(AffForm.of_var(x), minimize=False, bound=50.0, reduce=True)
-        assert solution.objective == pytest.approx(50.0)
+        solution = lp.solve(AffForm.of_var(x) * -1.0, bound=50.0, reduce=True)
+        assert solution.objective == pytest.approx(-50.0)
         assert solution.value_of(lam) == pytest.approx(47.0)
 
     def test_lambda_that_only_hurts_is_fixed_to_zero(self):
@@ -118,14 +123,11 @@ class TestPresolveRules:
         lam = lp.fresh_nonneg("lam")
         lp.add_ge(AffForm.of_var(x) - AffForm.of_var(lam) - 1.0)
         lp.solve(AffForm.of_var(x), reduce=True)
-        best = lp.solve(
-            AffForm.of_var(lam), minimize=False, bound=100.0, reduce=True
-        )
-        direct = lp.solve(
-            AffForm.of_var(lam), minimize=False, bound=100.0, reduce=False
-        )
+        # Maximize λ by minimizing -λ.
+        best = lp.solve(AffForm.of_var(lam) * -1.0, bound=100.0, reduce=True)
+        direct = lp.solve(AffForm.of_var(lam) * -1.0, bound=100.0, reduce=False)
         assert best.objective == pytest.approx(direct.objective)
-        assert best.objective == pytest.approx(99.0)
+        assert best.objective == pytest.approx(-99.0)
 
     def test_optimality_fixed_lambda_resurrects_under_new_row(self):
         """A later row on an optimality-fixed λ invalidates the fix; the
@@ -213,7 +215,9 @@ class TestDecomposition:
         for var, expected in ((x, 1.0), (y, 2.0), (a, 5.0), (b, 10.0)):
             assert solution.value_of(var) == pytest.approx(expected)
 
-    def test_cut_row_spanning_blocks_merges_them(self):
+    def test_cut_row_spanning_blocks_recomputes_the_reduction(self):
+        """Only per-block pins enter the live block models; any other row
+        (here one coupling two blocks) recomputes the reduction."""
         lp = build_problem()
         x, y = lp.fresh("x"), lp.fresh("y")
         lp.add_ge(AffForm.of_var(x) - 1.0)
@@ -221,10 +225,12 @@ class TestDecomposition:
         first = lp.solve(AffForm.of_var(x) + AffForm.of_var(y), reduce=True)
         assert first.objective == pytest.approx(3.0)
         assert lp.reduction_stats()["components"] == 2
+        assert lp._reducer.invalidations == 0
         lp.add_ge(AffForm.of_var(x) + AffForm.of_var(y) - 9.0)  # couples blocks
         second = lp.solve(AffForm.of_var(x) + AffForm.of_var(y), reduce=True)
         assert second.objective == pytest.approx(9.0)
-        assert lp._reducer.block_merges == 1
+        assert lp._reducer.invalidations == 1
+        assert lp.reduction_stats()["components"] == 1
 
     def test_objective_on_eliminated_column_triggers_reprotection(self):
         lp = build_problem()
@@ -234,15 +240,16 @@ class TestDecomposition:
         lp.add_eq(AffForm.of_var(y) - AffForm.of_var(x) - 1.0)
         first = lp.solve(AffForm.of_var(x), reduce=True)
         assert first.value_of(y) == pytest.approx(2.0)
-        # A later objective on y must resurrect it, transparently.
+        # A later objective on y protects it and recomputes, transparently.
         second = lp.solve(AffForm.of_var(y), reduce=True)
         assert second.objective == pytest.approx(2.0)
         assert lp._reducer.invalidations >= 1
 
     def test_protected_row_free_column_gets_a_singleton_block(self):
         """A row-free column in the objective becomes its own block once
-        protected, so cut rows on it project normally instead of cycling
-        through unsatisfiable protect-and-recompute rounds."""
+        protected, so a later row on it recomputes the reduction once
+        instead of cycling through protect-and-recompute rounds until the
+        reducer disables itself."""
         lp = build_problem()
         x = lp.fresh("x")
         free = lp.fresh("free")  # appears in no row
@@ -270,13 +277,91 @@ class TestDecomposition:
         applied = lp.pin_objective(objective, first.objective, 1e-5)
         assert applied <= 2 * 1e-5 * (1.0 + 3.0)
         assert lp._reducer.block_pins == 2
-        assert lp._reducer.block_merges == 0
+        assert lp._reducer.invalidations == 0
         # Maximizing -(x) under the pin stays within the pinned band.
         second = lp.solve(AffForm.of_var(x) * -1.0, reduce=True)
         assert second.objective == pytest.approx(-1.0, abs=1e-3)
         lp.rollback(checkpoint)
         third = lp.solve(objective, reduce=True)
         assert third.objective == pytest.approx(3.0)
+
+
+@st.composite
+def lp_sequences(draw):
+    """2–6 columns, each free or nonnegative, and 3–10 operations: add an
+    ``eq`` or ``ge`` row (1–3 terms, integer coefficients in [−3, 3], a
+    constant in [−5, 5]), take a checkpoint, roll back to an earlier one,
+    or solve an objective of 1–3 terms."""
+    n = draw(st.integers(2, 6))
+    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    terms = st.dictionaries(
+        st.integers(0, n - 1), st.integers(-3, 3), min_size=1, max_size=3
+    )
+    operation = st.one_of(
+        st.tuples(st.just("row"), st.sampled_from([EQ, GE]), terms, st.integers(-5, 5)),
+        st.tuples(st.just("checkpoint")),
+        st.tuples(st.just("rollback"), st.integers(0, 9)),
+        st.tuples(st.just("solve"), terms),
+    )
+    return nonneg, draw(st.lists(operation, min_size=3, max_size=10))
+
+
+def _form(terms: dict[int, int], const: int = 0) -> AffForm:
+    return AffForm({j: float(c) for j, c in terms.items() if c}, float(const))
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except LPInfeasibleError:
+        return "infeasible", None
+    except LPError:
+        return "error", None
+
+
+class TestSequences:
+    """Only per-block pins enter the live block models; every other row
+    recomputes the reduction.  Twin problems run one drawn sequence, one
+    solving reduced and one direct, and must reach the same outcome at
+    every step: a value (equal when both statuses are ``optimal``), an
+    infeasibility at emission or at solve, or a solver failure.  The box of
+    100 keeps vertices off the conditioning trouble of a 1e12 box."""
+
+    @given(drawn=lp_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_and_direct_twins_agree(self, drawn):
+        nonneg, operations = drawn
+        twins = []
+        for reduce in (True, False):
+            lp = LPProblem()
+            for j, sign in enumerate(nonneg):
+                (lp.fresh_nonneg if sign else lp.fresh)(f"x{j}")
+            twins.append((reduce, lp, [lp.checkpoint()]))
+        for operation in operations:
+            outcomes = []
+            for reduce, lp, checkpoints in twins:
+                if operation[0] == "row":
+                    _, kind, terms, const = operation
+                    add = lp.add_eq if kind == EQ else lp.add_ge
+                    outcomes.append(_outcome(lambda: add(_form(terms, const))))
+                elif operation[0] == "checkpoint":
+                    checkpoints.append(lp.checkpoint())
+                elif operation[0] == "rollback":
+                    keep = operation[1] % len(checkpoints)
+                    lp.rollback(checkpoints[keep])
+                    del checkpoints[keep + 1 :]
+                else:
+                    objective = _form(operation[1])
+                    outcomes.append(
+                        _outcome(lambda: lp.solve(objective, bound=100.0, reduce=reduce))
+                    )
+            if not outcomes:
+                continue
+            (got, reduced), (want, direct) = outcomes
+            assert got == want, (operation, got, want)
+            if reduced is not None and reduced.status == direct.status == "optimal":
+                v = direct.objective
+                assert abs(reduced.objective - v) <= 1e-6 * (1 + abs(v)), operation
 
 
 def _independent_blocks(n: int, rows_per_block: int = 2) -> LPProblem:
@@ -506,14 +591,6 @@ class TestOverlaySemantics:
         sol_on = lp_a.solve(None, reduce=True)
         sol_off = lp_b.solve(None, reduce=False)
         np.testing.assert_allclose(sol_on.values, sol_off.values, atol=1e-7)
-
-    def test_cert_span_hints_cover_handelman_lambdas(self):
-        pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        system = pipe.constraint_system(AnalysisOptions(moment_degree=2))
-        spans = system.lp.cert_spans
-        assert spans, "certificate emission must record λ spans"
-        covered = sum(count for _, count in spans)
-        assert covered == len(system.lp.nonneg_indices)
 
 
 class TestCleanupPass:

@@ -372,7 +372,6 @@ def _lp_fingerprint(lp: LPProblem):
     return (
         [v.name for v in lp.pool.variables],
         sorted(lp.nonneg_indices),
-        list(lp.cert_spans),
         rows,
         dict(lp._eq_notes),
     )
@@ -394,7 +393,6 @@ def reference_emission(
         return
     products = certificate_products(ctx, max(degree, diff.degree()))
     lams = [lp.fresh_nonneg(f"{label}.λ{j}") for j in range(len(products))]
-    lp.note_cert_span(lams[0].index, len(products))
     rows = {
         mono: (dict(c.terms), c.const) if isinstance(c, AffForm) else ({}, c)
         for mono, c in diff.coeffs.items()
@@ -464,7 +462,6 @@ def _system_fingerprint(program, options: AnalysisOptions):
     return (
         [v.name for v in lp.pool.variables],
         sorted(lp.nonneg_indices),
-        list(lp.cert_spans),
         [
             tuple(array.tobytes() for array in lp.backend.row_arrays(kind))
             for kind in (EQ, GE)
