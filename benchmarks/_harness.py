@@ -11,11 +11,12 @@ from __future__ import annotations
 import pathlib
 import statistics
 import time
+from dataclasses import replace
 from functools import partialmethod
 from typing import Callable
 from unittest import mock
 
-from repro import AnalysisOptions, analyze
+from repro import analyze
 from repro.analysis.results import MomentBoundResult
 from repro.lp.problem import LPProblem
 from repro.programs import registry
@@ -65,17 +66,9 @@ def run_registered(
     **overrides,
 ) -> MomentBoundResult:
     """Analyze a registered benchmark with its registered options."""
-    bench = registry.get(name)
-    options = AnalysisOptions(
-        moment_degree=moment_degree or bench.moment_degree,
-        template_degree=overrides.pop("template_degree", bench.template_degree),
-        degree_cap=overrides.pop("degree_cap", bench.degree_cap),
-        objective_valuations=overrides.pop(
-            "objective_valuations",
-            (bench.valuation,) + tuple(bench.extra_valuations),
-        ),
-        **overrides,
-    )
+    if moment_degree:
+        overrides["moment_degree"] = moment_degree
+    options = replace(registry.get(name).options(), **overrides)
     return analyze(registry.parsed(name), options)
 
 

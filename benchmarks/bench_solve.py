@@ -1,4 +1,4 @@
-"""LP solve-layer benchmark: presolve + blocks + warm lex + stacked solves.
+"""LP solve-layer benchmark: presolve + blocks + warm lex.
 
 Times ``solve_and_resolve`` — everything after constraint derivation:
 the lexicographic LP solve loop plus bound resolution — on the Fig. 10
@@ -34,12 +34,6 @@ boxes certifiable — and its outcome is recorded in the JSON rather than
 hidden.  The instance stays out of the speedup ratio (the seed analyzer
 could not solve it at all).
 
-The stacked-batch section times the same-shape block stacking on the
-three registry programs whose certificate systems decompose into >= 3
-same-shape blocks (``absynth-c4b_t13``, ``absynth-condand``,
-``absynth-rdseql``): the default stacked path vs the per-block path
-(stacking suppressed), with the group sizes recorded.
-
 Every measured round derives the constraint system in the (untimed) setup
 and times ``pipeline.analyze`` on the primed pipeline, so the number is the
 solve-and-resolve cost one ``analyze`` call pays after derivation.  Rounds
@@ -57,8 +51,6 @@ import pathlib
 
 from _harness import direct_solves, emit, timed_median
 from repro import AnalysisOptions, AnalysisPipeline
-from repro.lp import reduce as lp_reduce
-from repro.programs import registry
 from repro.programs.synthetic import coupon_chain, rdwalk_chain
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_solve.json"
@@ -84,16 +76,12 @@ WORKLOAD = {
 #: default path, timed separately, never part of the speedup ratio.
 RESTART_INSTANCE = ("rdwalk_chain(3)", lambda: rdwalk_chain(3))
 
-#: Registry programs whose certificate LPs contain a >= 3-member group of
-#: same-shape blocks (the stacking trigger).
-STACKED_WORKLOAD = ("absynth-c4b_t13", "absynth-condand", "absynth-rdseql")
-
 MOMENT_DEGREE = 4
 ROUNDS = 5
 WARMUP = 1
 
 
-def _solve_seconds(make, reduced: bool, options: AnalysisOptions | None = None):
+def _solve_seconds(make, reduced: bool):
     """Best-of-k solve+resolve time through the reduction layer or not.
 
     Derivation (stages 1-3) is primed in the untimed per-round setup; a
@@ -104,8 +92,7 @@ def _solve_seconds(make, reduced: bool, options: AnalysisOptions | None = None):
     cost (the median rides the noise and is recorded alongside).
     """
     state: dict = {}
-    if options is None:
-        options = AnalysisOptions(moment_degree=MOMENT_DEGREE)
+    options = AnalysisOptions(moment_degree=MOMENT_DEGREE)
 
     def setup():
         pipe = AnalysisPipeline(make())
@@ -114,13 +101,14 @@ def _solve_seconds(make, reduced: bool, options: AnalysisOptions | None = None):
 
     def run():
         with contextlib.nullcontext() if reduced else direct_solves():
-            state["pipe"].analyze(options)
+            state["result"] = state["pipe"].analyze(options)
 
     median, times = timed_median(run, rounds=ROUNDS, warmup=WARMUP, setup=setup)
-    # Shape stats from the last measured round's reducer (reduced runs only).
-    shape = state["pipe"].constraint_system(options).lp.reduction_stats(
-        include_times=False
-    )
+    # Shape stats the last measured round's result carries (reduced runs
+    # only; the reducer itself is gone once the solve window closes).
+    shape = state["result"].lp_reduction
+    if shape is not None:
+        shape = {k: v for k, v in shape.items() if k != "block_solve_seconds"}
     return min(times), median, shape
 
 
@@ -150,16 +138,6 @@ def _restart_outcome(make, reduced: bool) -> dict:
     }
 
 
-def _registry_options(name: str) -> AnalysisOptions:
-    bench = registry.get(name)
-    return AnalysisOptions(
-        moment_degree=bench.moment_degree,
-        template_degree=bench.template_degree,
-        degree_cap=bench.degree_cap,
-        objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-    )
-
-
 def test_solve_layer(benchmark):
     benchmark.pedantic(
         lambda: _solve_seconds(WORKLOAD["coupon_chain(4)"], True),
@@ -184,24 +162,6 @@ def test_solve_layer(benchmark):
         "reduced": _restart_outcome(restart_make, True),
         "direct": _restart_outcome(restart_make, False),
     }
-
-    # Stacked same-shape batches vs one model per block.
-    stacked: dict[str, dict] = {}
-    for name in STACKED_WORKLOAD:
-        options = _registry_options(name)
-        make = lambda n=name: registry.parsed(n)
-        on_best, _, on_shape = _solve_seconds(make, True, options=options)
-        saved_min = lp_reduce._STACK_MIN_BLOCKS
-        lp_reduce._STACK_MIN_BLOCKS = 10**9  # suppress stacking
-        try:
-            off_best, _, _ = _solve_seconds(make, True, options=options)
-        finally:
-            lp_reduce._STACK_MIN_BLOCKS = saved_min
-        stacked[name] = {
-            "stacked_seconds": round(on_best, 4),
-            "per_block_seconds": round(off_best, 4),
-            "stacked_sizes": on_shape["stacked_sizes"],
-        }
 
     reduced_total = sum(reduced.values())
     direct_total = sum(direct.values())
@@ -240,12 +200,6 @@ def test_solve_layer(benchmark):
         f"{restart['direct']['outcome']} (excluded from the ratio; see "
         "module docstring)"
     )
-    for name, entry in stacked.items():
-        lines.append(
-            f"{name}: stacked {entry['stacked_seconds']}s vs per-block "
-            f"{entry['per_block_seconds']}s (group sizes "
-            f"{entry['stacked_sizes']})"
-        )
     emit("solve_layer", lines)
 
     RESULT_PATH.write_text(
@@ -275,7 +229,6 @@ def test_solve_layer(benchmark):
                 "speedup_vs_seed": round(speedup_vs_seed, 3),
                 "speedup_vs_direct": round(speedup_vs_direct, 3),
                 "restart_instance": {restart_name: restart},
-                "stacked_batches": stacked,
             },
             indent=2,
         )
@@ -304,9 +257,7 @@ def test_reduction_shrinks_the_solved_core():
     """Shape sanity independent of wall time: presolve must eliminate a
     substantial share of columns and rows on the certificate systems."""
     options = AnalysisOptions(moment_degree=MOMENT_DEGREE)
-    pipe = AnalysisPipeline(rdwalk_chain(2))
-    pipe.analyze(options)
-    stats = pipe.constraint_system(options).lp.reduction_stats()
+    stats = AnalysisPipeline(rdwalk_chain(2)).analyze(options).lp_reduction
     assert stats["reduced_cols"] <= 0.5 * stats["cols"]
     assert stats["reduced_rows"] <= 0.5 * stats["rows"]
     assert stats["components"] >= 2

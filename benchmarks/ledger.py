@@ -79,13 +79,7 @@ def registry_and_fig10():
     from repro.programs.synthetic import coupon_chain, rdwalk_chain
 
     for name in sorted(registry.all_benchmarks()):
-        bench = registry.get(name)
-        yield name, registry.parsed(name), AnalysisOptions(
-            moment_degree=bench.moment_degree,
-            template_degree=bench.template_degree,
-            degree_cap=bench.degree_cap,
-            objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-        )
+        yield name, registry.parsed(name), registry.get(name).options()
     for name, program in (
         ("cc4", coupon_chain(4)),
         ("cc8", coupon_chain(8)),

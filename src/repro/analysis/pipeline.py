@@ -40,9 +40,12 @@ Concurrency: bounds depend on the program and the options alone.  No
 solve decision reads a clock, so analyses on concurrent threads get the
 bounds one thread gets.  A :class:`ConstraintSystem` may be shared between
 pipelines through an artifact store, and its LP carries lexicographic cut
-rows while it solves, so each system owns a lock held around its
-checkpoint/solve/rollback window; solves of different systems, the
-Chebyshev point and derivation all run concurrently.
+rows and the LP reducer's live block models while it solves, so each
+system owns a lock held around its checkpoint/solve/rollback window.  The
+window drops both before it ends, on a return or an exception alike, so
+between solves a cached system holds its derived rows only.  Solves of
+different systems, the Chebyshev point and derivation all run
+concurrently.
 
 Timing: each artifact records its own wall time (``derive_seconds`` on the
 constraint system, ``solve_seconds`` on the solution), splitting derivation
@@ -422,9 +425,6 @@ class AnalysisPipeline:
         # solve at a time per system.  Waiting counts against the deadline:
         # the backends check it before each run.
         with system.lock:
-            # A cached system solves as a freshly derived one does, whatever
-            # solves at other valuations left in its reduction layer.
-            system.lp.forget_solves()
             checkpoint = system.lp.checkpoint()
             try:
                 solution, objective_values, statuses, scales, tolerances, used = (
@@ -433,8 +433,11 @@ class AnalysisPipeline:
                 reduction = system.lp.reduction_stats()
             finally:
                 # Drop the stage cuts so the cached system stays re-solvable
-                # under a different objective.
+                # under a different objective, then the reducer and its live
+                # block models: the next solve, at any valuation, runs as the
+                # first solve of a freshly derived system does.
                 system.lp.rollback(checkpoint)
+                system.lp.forget_solves()
         return StageSolution(
             key=key,
             solution=solution,

@@ -650,14 +650,6 @@ def _print_reduction_stats(stats, out) -> None:
     if times:
         shown = ", ".join(f"block {bid}: {sec:.3f}s" for bid, sec in times[:8])
         print(f"last solve per-component times: {shown}", file=out)
-    stacked = stats.get("stacked_groups") or 0
-    if stacked:
-        sizes = ", ".join(str(s) for s in stats.get("stacked_sizes", [])[:8])
-        print(
-            f"stacked batches: {stacked} (group sizes {sizes}) — same-shape "
-            "blocks solved as one block-diagonal LP",
-            file=out,
-        )
 
 
 def _run_batch(args, out) -> int:
@@ -673,12 +665,9 @@ def _run_batch(args, out) -> int:
     for name, bench in sorted(registry.all_benchmarks().items()):
         if not name.startswith(args.prefix):
             continue
-        options = AnalysisOptions(
-            moment_degree=args.moments or bench.moment_degree,
-            template_degree=bench.template_degree,
-            degree_cap=bench.degree_cap,
-            objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-        )
+        options = bench.options()
+        if args.moments:
+            options = replace(options, moment_degree=args.moments)
         workload[name] = (registry.parsed(name), options)
     if not workload:
         print(f"no registry programs match prefix {args.prefix!r}", file=out)

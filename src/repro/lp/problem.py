@@ -93,9 +93,11 @@ class LPProblem:
         return self._protected
 
     def forget_solves(self) -> None:
-        """Drop what earlier solves left behind: the reduction with its
-        live block models, and the protected columns.  The next solve then
-        runs as the first solve of a freshly derived problem does."""
+        """Drop what solves leave behind: the reduction with its live block
+        models, and the protected columns.  The next solve then runs as the
+        first solve of a freshly derived problem does.  The pipeline calls
+        this as its solve window closes, so a cached constraint system holds
+        no solver state between solves."""
         self._reducer = None
         self._protected.clear()
 

@@ -33,7 +33,8 @@ never sees from the raw rows:
 * **Block structure.**  The reduced core decomposes per calling context:
   connected components of the variable–row bipartite graph are solved as
   *separate* LP models a fraction of the full size, with block solutions
-  mapped back to the full variable space.
+  mapped back to the full variable space.  Each block is exactly one live
+  HiGHS model, and every block solves at every stage, objective or not.
 * **Warm lexicographic re-solves.**  The pipeline's lexicographic loop pins
   each stage optimum before the next stage.  The pin lands as one row per
   block on the live block models (:meth:`ReducedSolver.pin_last_objective`),
@@ -48,8 +49,12 @@ rows that enter live block models.  Any other change — a row added outside
 :meth:`LPProblem.pin_objective`, an objective on a column not yet protected
 — recomputes the reduction.  The pipeline declares every objective column
 up front (:meth:`LPProblem.protect_columns`) and lands every stage cut as
-per-block pins, so it never recomputes for either reason.  The layer is the
-only solve path the analyzer takes; the direct backend solve
+per-block pins, so it never recomputes for either reason.  The reducer,
+with its live block models, lives only inside the pipeline's locked solve
+window: ``AnalysisPipeline._solve_system`` drops it
+(:meth:`LPProblem.forget_solves`) when it rolls back the stage cuts, so a
+cached constraint system holds no solver state between solves.  The layer
+is the only solve path the analyzer takes; the direct backend solve
 (``LPProblem.solve(reduce=False)``) survives as the fallback
 :meth:`ReducedSolver.solve` takes when a reduction cannot be used, and as
 the oracle against which ``tests/test_lp_reduce.py`` checks bound-level
@@ -74,18 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = ["ReducedSolver", "ReductionStats"]
 
-#: Stacking gate: pristine blocks are concatenated into one block-diagonal
-#: live model when at least ``_STACK_MIN_BLOCKS`` of them share a shape and
-#: each is at most ``_STACK_MAX_COLS`` columns wide.  Block-diagonal
-#: stacking is exact — the blocks stay independent and the stage
-#: objectives separable, so the joint optimum restricts to each block's
-#: own optimum — and it amortizes per-solve overhead (model build, solver
-#: presolve) over the whole group, which is where the many-tiny-blocks
-#: workloads (fuzz corpus, lexicographic rider blocks) spend their time.
-#: The partition is a deterministic function of the reduction alone.
-_STACK_MIN_BLOCKS = 3
-_STACK_MAX_COLS = 160
-
 #: Presolve feasibility slack, matching the order of HiGHS' primal
 #: feasibility tolerance: residuals below this are solver noise, not
 #: contradictions.
@@ -107,8 +100,6 @@ class _Invalidate(Exception):
     def __init__(self, protect: "tuple[int, ...] | list[int]" = ()) -> None:
         super().__init__()
         self.protect = tuple(protect)
-
-
 
 
 @dataclass
@@ -198,30 +189,25 @@ class _PristineBlock:
 
 
 class _LiveBlock:
-    """A pristine block (or a stacked union) with a live backend."""
+    """A pristine block with its live backend.
 
-    __slots__ = (
-        "gcols", "local_of", "backend", "shim",
-        "dirty", "last_values", "last_obj", "last_opt",
-    )
+    Live block *i* is pristine block *i*: one persistent HiGHS model that
+    holds the block's rows plus the stage pins, and solves at every
+    lexicographic stage.
+    """
+
+    __slots__ = ("gcols", "local_of", "backend", "shim", "last_obj", "last_opt")
 
     def __init__(
         self,
-        gcols: np.ndarray,
-        local_of: dict[int, int],
-        nonneg: set[int],
+        pristine: _PristineBlock,
         backend: "IncrementalBackend",
         owner: "LPProblem",
     ) -> None:
-        self.gcols = gcols
-        self.local_of = local_of
+        self.gcols = pristine.gcols
+        self.local_of = pristine.local_of
         self.backend = backend
-        self.shim = _BlockProblem(len(gcols), nonneg, owner)
-        #: ``dirty`` marks blocks whose row set changed since the last solve;
-        #: a clean block with no objective terms keeps its previous feasible
-        #: point instead of paying another (trivial but non-free) solve.
-        self.dirty = True
-        self.last_values: np.ndarray | None = None
+        self.shim = _BlockProblem(len(pristine.gcols), pristine.nonneg, owner)
         #: Objective slice and optimum of the latest solve, for per-block
         #: lexicographic pinning (:meth:`ReducedSolver.pin_last_objective`).
         self.last_obj: dict[int, float] | None = None
@@ -290,7 +276,6 @@ class ReducedSolver:
         self.problem = problem
         self._reduction: _Reduction | None = None
         self._live: list[_LiveBlock] | None = None
-        self._live_of_pristine: dict[int, int] = {}
         self._applied: dict[str, int] = {EQ: 0, GE: 0}
         self._extra_protect: set[int] = set()
         self._disabled = False
@@ -305,10 +290,6 @@ class ReducedSolver:
         self.block_pins = 0
         self.invalidations = 0
         self.last_block_seconds: list[tuple[int, float]] = []
-        #: Live-partition stacking outcome of the current ``_build_live``:
-        #: how many same-shape groups were concatenated and their sizes.
-        self.stacked_groups = 0
-        self.stacked_sizes: list[int] = []
 
     # -- public surface -----------------------------------------------------
 
@@ -319,8 +300,6 @@ class ReducedSolver:
             return None
         out = reduction.stats.snapshot()
         out["solve_calls"] = self.solve_calls
-        out["stacked_groups"] = self.stacked_groups
-        out["stacked_sizes"] = list(self.stacked_sizes)
         if include_times:
             out["block_solve_seconds"] = [
                 (bid, round(sec, 6)) for bid, sec in self.last_block_seconds
@@ -385,7 +364,6 @@ class ReducedSolver:
             applied += margin
             terms, const = _pin_row(block.last_obj, block.last_opt, margin)
             block.backend.add_row(GE, terms, const)
-            block.dirty = True
             self.block_pins += 1
         self._pinned = True
         return applied
@@ -464,84 +442,16 @@ class ReducedSolver:
             # snapshot, needs a new reduction.
             raise _Invalidate
 
-    def _block_backend(self) -> "IncrementalBackend":
-        # Blocks solve through a fresh instance of the problem's backend
-        # class, with its robustness cascade, warm-start policy and
-        # persistent HiGHS model.
-        return type(self.problem.backend)()
-
-    def _stack_plan(self) -> list[tuple[int, ...]]:
-        """Partition the pristine blocks into live-model groups.
-
-        Groups of at least ``_STACK_MIN_BLOCKS`` same-shape small blocks —
-        shape meaning (columns, eq rows, ge rows, nonzeros) — are stacked
-        into one block-diagonal model; everything else stays one model per
-        block.  Emission order follows the first member of each group, so
-        the plan (and hence every downstream solve) is deterministic.
-        """
-        blocks = self._reduction.blocks
-
-        def shape(p: _PristineBlock) -> tuple[int, int, int, int]:
-            neq = sum(1 for kind, _, _ in p.rows if kind == EQ)
-            return (
-                len(p.gcols),
-                neq,
-                len(p.rows) - neq,
-                sum(len(terms) for _, terms, _ in p.rows),
-            )
-
-        groups: dict[tuple, list[int]] = {}
-        for bid, pristine in enumerate(blocks):
-            groups.setdefault(shape(pristine), []).append(bid)
-        stacked: dict[int, tuple[int, ...]] = {}
-        for key, members in groups.items():
-            if len(members) >= _STACK_MIN_BLOCKS and key[0] <= _STACK_MAX_COLS:
-                stacked[members[0]] = tuple(members)
-        plan: list[tuple[int, ...]] = []
-        claimed = {bid for group in stacked.values() for bid in group}
-        for bid in range(len(blocks)):
-            if bid in stacked:
-                plan.append(stacked[bid])
-            elif bid not in claimed:
-                plan.append((bid,))
-        return plan
-
     def _build_live(self) -> list[_LiveBlock]:
-        blocks = self._reduction.blocks
-        plan = self._stack_plan()
-        self.stacked_sizes = [len(group) for group in plan if len(group) > 1]
-        self.stacked_groups = len(self.stacked_sizes)
+        # Each block solves through a fresh instance of the problem's
+        # backend class, with its robustness cascade, warm-start policy and
+        # persistent HiGHS model.
         live = []
-        self._live_of_pristine = {}
-        for group in plan:
-            parts = [blocks[bid] for bid in group]
-            backend = self._block_backend()
-            if len(parts) == 1:
-                pristine = parts[0]
-                gcols = pristine.gcols
-                local_of = pristine.local_of
-                nonneg = pristine.nonneg
-                for kind, terms, const in pristine.rows:
-                    backend.add_row(kind, terms, const)
-            else:
-                gcols = np.concatenate([p.gcols for p in parts])
-                local_of = {}
-                nonneg = set()
-                offset = 0
-                for part in parts:
-                    for col, local in part.local_of.items():
-                        local_of[col] = local + offset
-                    nonneg.update(local + offset for local in part.nonneg)
-                    for kind, terms, const in part.rows:
-                        backend.add_row(
-                            kind,
-                            {j + offset: v for j, v in terms.items()},
-                            const,
-                        )
-                    offset += len(part.gcols)
-            for bid in group:
-                self._live_of_pristine[bid] = len(live)
-            live.append(_LiveBlock(gcols, local_of, nonneg, backend, self.problem))
+        for pristine in self._reduction.blocks:
+            backend = type(self.problem.backend)()
+            for kind, terms, const in pristine.rows:
+                backend.add_row(kind, terms, const)
+            live.append(_LiveBlock(pristine, backend, self.problem))
         return live
 
     # -- solving ------------------------------------------------------------
@@ -571,29 +481,22 @@ class ReducedSolver:
             if fixed is not None:
                 total += coeff * fixed
                 continue
-            lid = self._live_of_pristine[reduction.col_block[col]]
-            block_objs.setdefault(lid, {})[self._live[lid].local_of[col]] = coeff
+            bid = reduction.col_block[col]
+            block_objs.setdefault(bid, {})[self._live[bid].local_of[col]] = coeff
 
         self.last_block_seconds = []
-        pending: list[tuple[int, _LiveBlock, "dict[int, float] | None"]] = []
-        for lid, block in enumerate(self._live):
-            local_obj = block_objs.get(lid)
-            if local_obj is None and not block.dirty and block.last_values is not None:
-                # No objective over this block and no new rows: the previous
-                # feasible point is still feasible (and vacuously optimal).
-                values[block.gcols] = block.last_values
-                block.last_obj = None
-                block.last_opt = None
-                continue
-            pending.append((lid, block, local_obj))
-
-        solutions = self._solve_blocks_sequential(pending, bound)
-
-        for lid, block, local_obj in pending:
-            solution = solutions[lid]
+        deadline = current_deadline()
+        for bid, block in enumerate(self._live):
+            if deadline is not None:
+                # Between-block boundary: each block solve also caps itself
+                # via the backend, but a long block chain must not overshoot
+                # the budget by a whole block.
+                deadline.check("lp.block")
+            local_obj = block_objs.get(bid)
+            started = time.perf_counter()
+            solution = block.backend.solve(block.shim, local_obj, 0.0, bound)
+            self.last_block_seconds.append((bid, time.perf_counter() - started))
             values[block.gcols] = solution.values
-            block.last_values = solution.values
-            block.dirty = False
             if local_obj:
                 total += solution.objective
                 block.last_obj = local_obj
@@ -627,24 +530,6 @@ class ReducedSolver:
         value = total + objective_const
         self.last_was_reduced = True
         return LPSolution(values, value, status)
-
-    def _solve_blocks_sequential(
-        self,
-        pending: "list[tuple[int, _LiveBlock, dict[int, float] | None]]",
-        bound: float,
-    ) -> dict[int, LPSolution]:
-        solutions: dict[int, LPSolution] = {}
-        deadline = current_deadline()
-        for lid, block, local_obj in pending:
-            if deadline is not None:
-                # Between-block boundary: each block solve also caps itself
-                # via the backend, but a long block chain must not overshoot
-                # the budget by a whole block.
-                deadline.check("lp.block")
-            started = time.perf_counter()
-            solutions[lid] = block.backend.solve(block.shim, local_obj, 0.0, bound)
-            self.last_block_seconds.append((lid, time.perf_counter() - started))
-        return solutions
 
     def _postsolve(self, values: np.ndarray, bound: float) -> list[int]:
         """Reverse-walk the elimination log; return columns lifted out of
@@ -699,9 +584,7 @@ class ReducedSolver:
                 continue  # keep the original vertex; the caller re-checks
             finally:
                 backend.rollback(checkpoint)
-                block.dirty = True
             values[block.gcols] = cleanup.values
-            block.last_values = cleanup.values
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ evaluated against the results it asked for.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -92,14 +92,16 @@ def options_for(spec: Spec, bench) -> AnalysisOptions:
     moments = max(spec.min_moment_degree(), 0)
     if "moments" not in spec.options:
         moments = max(moments, bench.moment_degree)
-    valuation = spec.valuation if spec.valuation is not None else bench.valuation
-    return AnalysisOptions(
+    options = bench.options()
+    valuations = options.objective_valuations
+    if spec.valuation is not None:
+        valuations = (dict(spec.valuation),) + valuations[1:]
+    return replace(
+        options,
         moment_degree=moments,
         template_degree=spec.options.get("degree", bench.template_degree),
         degree_cap=spec.options.get("cap", bench.degree_cap),
-        objective_valuations=(dict(valuation),) + tuple(
-            dict(v) for v in bench.extra_valuations
-        ),
+        objective_valuations=valuations,
     )
 
 

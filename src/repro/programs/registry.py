@@ -42,6 +42,21 @@ class BenchProgram:
     def parse(self) -> Program:
         return parse_program(self.source)
 
+    def options(self):
+        """The registered analysis options: the moment degree, the template
+        degree, the cap, and ``(valuation,) + extra_valuations`` as the
+        objective valuations.  Callers that override a field use
+        :func:`dataclasses.replace`."""
+        from repro.analysis.pipeline import AnalysisOptions
+
+        return AnalysisOptions(
+            moment_degree=self.moment_degree,
+            template_degree=self.template_degree,
+            degree_cap=self.degree_cap,
+            objective_valuations=(dict(self.valuation),)
+            + tuple(dict(v) for v in self.extra_valuations),
+        )
+
 
 _REGISTRY: dict[str, BenchProgram] = {}
 

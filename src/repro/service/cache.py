@@ -60,7 +60,12 @@ from repro.lang.printer import canonical_program
 #: 6: ``lp_reduction`` stats lose ``block_merges`` and a cached
 #: ``LPProblem`` loses its certificate spans; direct solves report the
 #: objective at the vertex, not HiGHS's value with the ridge included.
-CACHE_FORMAT = 6
+#: 7: every reduced block is its own live model and solves at every stage
+#: (no same-shape stacking, no clean-block skip): ``lp_reduction`` stats
+#: lose the two stacking keys, and stage pins split the cut margin per
+#: block, not per stacked group, which moves a stage optimum by one ulp
+#: on some inputs (``generate_corpus(1000, seed=0)``'s fuzz00754).
+CACHE_FORMAT = 7
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 

@@ -246,7 +246,12 @@ def _run_queue(workload, max_workers, cache, report, store, timeout) -> None:
     import tempfile
     from pathlib import Path
 
-    from repro.service.jobs import WorkerPool, options_to_dict, wait_for_jobs
+    from repro.service.jobs import (
+        WorkerPool,
+        job_outcome,
+        options_to_dict,
+        wait_for_jobs,
+    )
     from repro.service.store import JobStore
 
     tmp = None
@@ -275,24 +280,13 @@ def _run_queue(workload, max_workers, cache, report, store, timeout) -> None:
             ).start()
         jobs = wait_for_jobs(store, ids, timeout=timeout)
         for name, job_id, job in zip(names, ids, jobs):
-            if job is None or not job.terminal:
-                state = job.state if job is not None else "missing"
-                item = BatchItem(
-                    name=name, ok=False, job_id=job_id,
-                    error=f"timeout: job still {state} after {timeout:g}s",
-                )
-            elif job.state == "done" and isinstance(job.result, dict):
-                item = BatchItem(
-                    name=name, ok=True, job_id=job_id,
-                    payload=job.result, seconds=job.run_seconds or 0.0,
-                )
-            else:
-                item = BatchItem(
-                    name=name, ok=False, job_id=job_id,
-                    error=job.error or "dead-lettered",
-                    seconds=job.run_seconds or 0.0,
-                )
-            report.items.append(item)
+            error = job_outcome(job, timeout)
+            finished = job is not None and job.terminal
+            report.items.append(BatchItem(
+                name=name, ok=error is None, job_id=job_id, error=error,
+                payload=job.result if error is None else None,
+                seconds=(job.run_seconds or 0.0) if finished else 0.0,
+            ))
     finally:
         if pool is not None:
             pool.stop(graceful=True, timeout=10.0)

@@ -763,6 +763,19 @@ def wait_for_jobs(
         time.sleep(poll)
 
 
+def job_outcome(job: "Job | None", timeout: float) -> "str | None":
+    """How a batch reports one job :func:`wait_for_jobs` returned: ``None``
+    when it is done with a result document, else the item's error — the
+    job is still pending (or missing) after ``timeout`` seconds, or it is
+    dead."""
+    if job is None or not job.terminal:
+        state = job.state if job is not None else "missing"
+        return f"timeout: job still {state} after {timeout:g}s"
+    if job.state == "done" and isinstance(job.result, dict):
+        return None
+    return job.error or "dead-lettered"
+
+
 def drain_queue(
     store: JobStore, *, timeout: "float | None" = None, poll: float = 0.1
 ) -> bool:
@@ -789,6 +802,7 @@ __all__ = [
     "enqueue_analysis",
     "execute_job",
     "job_idempotency_key",
+    "job_outcome",
     "options_from_dict",
     "options_to_dict",
     "wait_for_jobs",

@@ -74,6 +74,7 @@ from repro.service.jobs import (
     _json_int,
     enqueue_analysis,
     job_idempotency_key,
+    job_outcome,
     options_from_dict,
     wait_for_jobs,
 )
@@ -367,28 +368,13 @@ class AnalysisService:
         jobs = wait_for_jobs(store, ids, timeout=timeout)
         items = []
         for name, job_id, job in zip(names, ids, jobs):
-            if job is None or not job.terminal:
-                items.append({
-                    "name": name,
-                    "ok": False,
-                    "job_id": job_id,
-                    "error": f"timeout: job still {job.state if job else 'missing'}"
-                    f" after {timeout:g}s",
-                })
-            elif job.state == "done" and isinstance(job.result, dict):
-                items.append({
-                    "name": name,
-                    "ok": True,
-                    "job_id": job_id,
-                    "summary": job.result.get("summary"),
-                })
+            error = job_outcome(job, timeout)
+            item = {"name": name, "ok": error is None, "job_id": job_id}
+            if error is None:
+                item["summary"] = job.result.get("summary")
             else:
-                items.append({
-                    "name": name,
-                    "ok": False,
-                    "job_id": job_id,
-                    "error": job.error or "dead-lettered",
-                })
+                item["error"] = error
+            items.append(item)
         return {
             "ok": all(item["ok"] for item in items),
             "queued": True,

@@ -18,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -43,13 +44,8 @@ def registry_names():
 def bench_options(name: str, registered: bool = False) -> AnalysisOptions:
     """``name``'s registered options at moment degree 2, or at its
     registered degree."""
-    bench = registry.get(name)
-    return AnalysisOptions(
-        moment_degree=bench.moment_degree if registered else 2,
-        template_degree=bench.template_degree,
-        degree_cap=bench.degree_cap,
-        objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-    )
+    options = registry.get(name).options()
+    return options if registered else replace(options, moment_degree=2)
 
 
 def analyze_cold(name: str):
@@ -211,15 +207,27 @@ class TestIncrementalAssembly:
         # m-1 = 2 cut rows pinned previous stage optima.
         assert stats.rows_appended == 2
 
-    def test_reduced_pins_are_appended_to_block_models(self):
+    def test_reduced_pins_are_appended_to_block_models(self, monkeypatch):
         """With the reduction layer on, the lexicographic stage pins land on
         the live per-block models via addRows, and the pipeline never makes
         the reducer recompute: it protects every objective column up front
         and adds no row outside the pins.  Any other row would cost a full
         presolve and cold block models at the next stage.  Checked on the
         registry programs at their registered options and on the fig10
-        programs at m=4, each on a fresh pipeline."""
+        programs at m=4, each on a fresh pipeline.  The reducer lives only
+        inside the solve window, so a wrapper around its ``solve`` captures
+        it there."""
+        from repro.lp.reduce import ReducedSolver
         from repro.programs.synthetic import coupon_chain, rdwalk_chain
+
+        solving = []
+        original = ReducedSolver.solve
+
+        def capture(reducer, *args, **kwargs):
+            solving.append(reducer)
+            return original(reducer, *args, **kwargs)
+
+        monkeypatch.setattr(ReducedSolver, "solve", capture)
 
         inputs = [
             (name, registry.parsed(name), bench_options(name, registered=True))
@@ -235,10 +243,14 @@ class TestIncrementalAssembly:
             )
         ]
         for name, program, options in inputs:
+            solving.clear()
             pipe = AnalysisPipeline(program)
             pipe.analyze(options)
             lp = pipe.constraint_system(options).lp
-            reducer = lp._reducer
+            # One reducer served every stage of the window.
+            assert len({id(r) for r in solving}) == 1, name
+            reducer = solving[0]
+            assert reducer.problem is lp, name
             assert reducer is not None and reducer.last_was_reduced, name
             assert reducer.invalidations == 0, name
             # The *problem* backend never solved anything itself.

@@ -745,6 +745,7 @@ class TestBatchQuiet:
             degree_cap = None
             valuation = dict(bench.valuation)
             extra_valuations = ()
+            options = registry.BenchProgram.options
 
         monkeypatch.setattr(
             registry, "all_benchmarks", lambda: {"doomed": _Bench()}

@@ -1,17 +1,20 @@
 """The committed bounds ledger, ``tests/data/bounds_ledger.json``.
 
-``benchmarks/ledger.py write`` recorded it on 346 inputs.  This test
-re-derives the 46 registry and fig10 entries and compares them byte for
-byte (``float.hex``), when the running HiGHS build and its bindings are
-the ones the ledger's ``build`` header names.  Under another build it
-skips: another HiGHS build can pick another vertex on a degenerate optimal
-face, and no other build has been measured.  A mismatch under the same
-build is a finding, not a reason to skip.  A change that moves an entry
-regenerates the ledger and lists each moved end in CHANGES.md.
+``benchmarks/ledger.py write`` recorded it on 346 inputs.  These tests
+re-derive entries and compare them byte for byte (``float.hex``), when the
+running HiGHS build and its bindings are the ones the ledger's ``build``
+header names: the 46 registry and fig10 entries in every run (about 1 s),
+and all 346 under ``REPRO_LEDGER_FULL=1`` (about 10 s; CI's ``tests`` legs
+set it).  Under another build they skip: another HiGHS build can pick
+another vertex on a degenerate optimal face, and no other build has been
+measured.  A mismatch under the same build is a finding, not a reason to
+skip.  A change that moves an entry regenerates the ledger and lists each
+moved end in CHANGES.md.
 """
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -21,8 +24,13 @@ _spec = importlib.util.spec_from_file_location("ledger", ROOT / "benchmarks" / "
 ledger = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ledger)
 
+FULL = os.environ.get("REPRO_LEDGER_FULL") == "1"
 
-def test_registry_and_fig10_entries_match_the_committed_ledger():
+
+def _assert_entries_match(inputs, count: int) -> None:
+    """Re-derive ``inputs`` and compare them with the committed ledger byte
+    for byte under the header's HiGHS version, githash and bindings; under
+    any other build, skip and name both."""
     committed = json.loads((ROOT / "tests" / "data" / "bounds_ledger.json").read_text())
     recorded, running = committed["build"], ledger.build()
     if any(recorded[key] != running[key] for key in ("highs", "highs_githash", "bindings")):
@@ -31,14 +39,20 @@ def test_registry_and_fig10_entries_match_the_committed_ledger():
             f"{ledger.describe(running)}: another HiGHS build can pick another "
             "vertex on a degenerate optimal face, and no other build was measured"
         )
-    entries = {
-        name: ledger.entry(program, options)
-        for name, program, options in ledger.registry_and_fig10()
-    }
-    assert len(entries) == 46
+    entries = {name: ledger.entry(program, options) for name, program, options in inputs}
+    assert len(entries) == count
     expected = {name: committed["entries"][name] for name in entries}
     moved = ledger.differences(expected, entries)
     assert not moved, "\n".join(moved)
+
+
+def test_registry_and_fig10_entries_match_the_committed_ledger():
+    _assert_entries_match(ledger.registry_and_fig10(), 46)
+
+
+@pytest.mark.skipif(not FULL, reason="set REPRO_LEDGER_FULL=1 to run")
+def test_all_entries_match_the_committed_ledger():
+    _assert_entries_match(ledger.inputs(), 346)
 
 
 def test_compare_names_both_builds_and_each_moved_end(tmp_path, capsys):

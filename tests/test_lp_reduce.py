@@ -5,7 +5,7 @@ Three levels of coverage:
 * presolve unit tests on hand-built LPs — singleton-equality fixing, free
   and implied-slack column elimination, duplicate/vacuous row dropping,
   zero columns, infeasibility detection, the block decomposition with
-  full-space value recovery, and same-shape block stacking;
+  full-space value recovery, and one live model per block;
 * the ``reduce`` argument of :meth:`LPProblem.solve` — on by default,
   ``reduce=False`` routes a solve to the direct backend — and drawn
   sequences of row additions, checkpoints, rollbacks and solves on which
@@ -17,6 +17,7 @@ Three levels of coverage:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -382,17 +383,18 @@ def _total_objective(lp: LPProblem) -> AffForm:
     return AffForm({index: 1.0 for index in sorted(lp.nonneg_indices)})
 
 
-class TestStacking:
-    """``_stack_plan`` groups >= 3 same-shape small blocks into one
-    block-diagonal model."""
+class TestSameShapeBlocks:
+    """Each block of the reduced core is its own live model, however many
+    blocks share its shape."""
 
-    def test_same_shape_blocks_are_stacked(self):
+    def test_same_shape_blocks_get_one_live_model_each(self):
         lp = _independent_blocks(4)
         solution = lp.solve(_total_objective(lp), reduce=True)
         assert lp._reducer is not None
-        assert lp._reducer.stacked_groups == 1
-        assert lp._reducer.stacked_sizes == [4]
-        # x >= 2, x + y == 10, y >= 1; min x+y is 10 per block.
+        live = lp._reducer._live
+        assert len(live) == 4
+        assert len({id(block.backend) for block in live}) == 4
+        # x >= 2, x + y == 10; min x+y is 10 per block.
         assert solution.objective == pytest.approx(40.0)
 
     def test_stacked_values_match_direct_solve(self):
@@ -401,13 +403,6 @@ class TestStacking:
         direct = _independent_blocks(5)
         want = direct.solve(_total_objective(direct), reduce=False)
         assert got.objective == pytest.approx(want.objective, abs=1e-7)
-
-    def test_differently_shaped_blocks_do_not_stack(self):
-        lp = _independent_blocks(2)  # only two same-shape blocks: below min
-        z = lp.fresh_nonneg("z")
-        lp.add_ge(AffForm.of_var(z) - 1.0)
-        lp.solve(_total_objective(lp), reduce=True)
-        assert lp._reducer.stacked_groups == 0
 
 
 class TestRegistryParity:
@@ -427,15 +422,10 @@ class TestRegistryParity:
     @pytest.mark.parametrize("name", sorted(registry.all_benchmarks()))
     def test_bounds_agree_with_reduction_on_and_off(self, name):
         bench = registry.get(name)
-        options = dict(
-            moment_degree=2,
-            template_degree=bench.template_degree,
-            degree_cap=bench.degree_cap,
-            objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-        )
+        options = replace(bench.options(), moment_degree=2)
         with direct_solves():
-            off = analyze(registry.parsed(name), AnalysisOptions(**options))
-        on = analyze(registry.parsed(name), AnalysisOptions(**options))
+            off = analyze(registry.parsed(name), options)
+        on = analyze(registry.parsed(name), options)
         assert len(off.objective_values) == len(on.objective_values)
         for stage, (a, b) in enumerate(
             zip(off.objective_values, on.objective_values)
@@ -502,16 +492,10 @@ class TestRegistryParity:
         """On the programs whose optima pin the ends themselves (the same
         subset the cross-backend suite compares end-wise), the reduction
         must reproduce both interval ends."""
-        bench = registry.get(name)
-        options = dict(
-            moment_degree=2,
-            template_degree=bench.template_degree,
-            degree_cap=bench.degree_cap,
-            objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-        )
+        options = replace(registry.get(name).options(), moment_degree=2)
         with direct_solves():
-            off = analyze(registry.parsed(name), AnalysisOptions(**options))
-        on = analyze(registry.parsed(name), AnalysisOptions(**options))
+            off = analyze(registry.parsed(name), options)
+        on = analyze(registry.parsed(name), options)
         for k in (1, 2):
             a, b = off.raw_interval(k), on.raw_interval(k)
             scale = max(1.0, abs(a.lo), abs(a.hi))

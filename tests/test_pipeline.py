@@ -3,6 +3,7 @@
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -76,13 +77,10 @@ class TestStageCaching:
         assert clone.num_constraints == system.num_constraints
 
     def test_cached_system_resolves_like_a_fresh_one(self):
-        """A solve at one valuation leaves protected columns and a
-        reduction behind on the cached system; a later solve at another
-        valuation must not inherit them."""
-        bench = registry.get("timing-t0")
-        registered = AnalysisOptions(
-            objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations)
-        )
+        """A solve at one valuation protects columns and builds a reduction
+        on the cached system; a later solve at another valuation must not
+        inherit them, so the solve window drops both as it closes."""
+        registered = registry.get("timing-t0").options()
         pipe = AnalysisPipeline(registry.parsed("timing-t0"))
         pipe.analyze(AnalysisOptions())  # the automatic valuations first
         again = pipe.analyze(registered)
@@ -93,6 +91,49 @@ class TestStageCaching:
 
         assert _fingerprint(again) == _fingerprint(fresh)
         assert untimed(again.lp_reduction) == untimed(fresh.lp_reduction)
+
+    def test_no_cached_system_keeps_a_reducer(self):
+        """The reducer and its live block models live only inside the
+        locked solve window: after ``analyze`` no cached system holds one.
+        Checked on the registry programs at their registered options and
+        on the fig10 programs at m=4."""
+        from repro.programs.synthetic import coupon_chain, rdwalk_chain
+
+        inputs = [
+            (name, registry.parsed(name), registry.get(name).options())
+            for name in sorted(registry.all_benchmarks())
+        ]
+        inputs += [
+            (name, program, AnalysisOptions(moment_degree=4))
+            for name, program in (
+                ("cc4", coupon_chain(4)),
+                ("cc8", coupon_chain(8)),
+                ("cc16", coupon_chain(16)),
+                ("rw2", rdwalk_chain(2)),
+            )
+        ]
+        for name, program, options in inputs:
+            pipe = AnalysisPipeline(program)
+            pipe.analyze(options)
+            assert pipe._systems, name
+            for system in pipe._systems.values():
+                assert system.lp._reducer is None, name
+
+    def test_an_infeasible_solve_releases_its_reducer(self):
+        """The window drops the reducer on an exception too: absynth-rdbub
+        needs quadratic templates, so at d=1 its solve raises."""
+        from repro.lp.core import LPInfeasibleError
+
+        options = replace(
+            registry.get("absynth-rdbub").options(),
+            moment_degree=1,
+            template_degree=1,
+        )
+        pipe = AnalysisPipeline(registry.parsed("absynth-rdbub"))
+        with pytest.raises(LPInfeasibleError):
+            pipe.analyze(options)
+        (system,) = pipe._systems.values()
+        assert system.lp._reducer is None
 
     def test_repeated_analyze_hits_the_solution_cache(self, pipe):
         opts = AnalysisOptions(moment_degree=2)
@@ -127,19 +168,13 @@ def _registry_workload(shift: float = 0.0):
     objective valuation moved by ``shift`` in each variable."""
     workload = {}
     for name in sorted(registry.all_benchmarks()):
-        bench = registry.get(name)
-        valuations = (bench.valuation,) + tuple(bench.extra_valuations)
+        options = registry.get(name).options()
         workload[name] = (
             registry.parsed(name),
-            AnalysisOptions(
-                moment_degree=bench.moment_degree,
-                template_degree=bench.template_degree,
-                degree_cap=bench.degree_cap,
-                objective_valuations=tuple(
-                    {v: x + shift for v, x in valuation.items()}
-                    for valuation in valuations
-                ),
-            ),
+            replace(options, objective_valuations=tuple(
+                {v: x + shift for v, x in valuation.items()}
+                for valuation in options.objective_valuations
+            )),
         )
     return workload
 

@@ -514,12 +514,7 @@ class TestAnalyzerParity:
         benchmarks = registry.all_benchmarks()
         assert len(benchmarks) >= 42
         for name, bench in sorted(benchmarks.items()):
-            options = AnalysisOptions(
-                moment_degree=bench.moment_degree,
-                template_degree=bench.template_degree,
-                degree_cap=bench.degree_cap,
-            )
-            production, reference = derive_both(registry.parsed(name), options)
+            production, reference = derive_both(registry.parsed(name), bench.options())
             assert production == reference, f"registry {name!r}"
         assert set(derive_both.calls) == set(REFERENCE_TRANSFERS)
 

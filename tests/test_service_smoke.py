@@ -31,7 +31,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import AnalysisOptions
 from repro.programs import registry
 from repro.service.cache import ArtifactCache
 from repro.service.jobs import WorkerPool, options_to_dict
@@ -425,13 +424,7 @@ class TestServiceSmoke:
         analyze_bodies = {
             name: {
                 "program": bench.source,
-                "options": options_to_dict(AnalysisOptions(
-                    moment_degree=bench.moment_degree,
-                    template_degree=bench.template_degree,
-                    degree_cap=bench.degree_cap,
-                    objective_valuations=(bench.valuation,)
-                    + tuple(bench.extra_valuations),
-                )),
+                "options": options_to_dict(bench.options()),
             }
             for name, bench in benches
         }
