@@ -9,10 +9,10 @@ would skip the queue, the ledger, and the dedupe claims entirely.
 
 The numbers go to ``BENCH_fuzz.json`` at the repo root; CI gates
 ``campaign_total_seconds`` against the committed record via the
-consolidated regression gate (with a wide threshold — the fleet is
-poll-granular and the runner has 2 cores).  Acceptance: every seed is
-accounted for exactly once and throughput stays above
-``FLOOR_CASES_PER_SECOND``.
+consolidated regression gate (with a wide threshold — the runner has 2
+cores).  Each wave wakes the fleet as it is enqueued, so a wave does not
+wait out an idle worker's poll.  Acceptance: every seed is accounted for
+exactly once and throughput stays above ``FLOOR_CASES_PER_SECOND``.
 """
 
 import json

@@ -482,6 +482,7 @@ def worker_main(
     drain_and_exit: bool = False,
     max_jobs: "int | None" = None,
     job_timeout: "float | None" = None,
+    wake=None,
 ) -> int:
     """Entry point of one fleet worker (runs in its own process).
 
@@ -489,11 +490,22 @@ def worker_main(
     job is finished and acked first) or, with ``drain_and_exit``, until the
     queue is empty.  Returns the number of jobs executed.
 
+    When a lease finds nothing, the worker waits up to ``poll`` seconds
+    for a token on ``wake`` (the :class:`WorkerPool`'s semaphore, released
+    once per job an enqueue in the fleet's own process adds) and then
+    leases again.  The timed poll finds what no token announces: jobs
+    enqueued by another process, backoff retries whose ``not_before`` has
+    passed, and leases that expired when a worker died.  ``None`` waits on
+    a private semaphore that nothing releases, i.e. for the poll alone.
+    The wait runs in slices of at most 50 ms, so SIGTERM lands promptly.
+
     ``job_timeout`` is the default per-job runtime cap (seconds) past
     which the heartbeat stops renewing the lease; a job payload's
     ``timeout`` key overrides it per job.  ``None`` leaves uncapped jobs
     beating for as long as they run.
     """
+    if wake is None:
+        wake = threading.Semaphore(0)
     stop = {"flag": False}
 
     def _on_term(signum, frame):  # noqa: ARG001 - signal signature
@@ -523,11 +535,11 @@ def worker_main(
                 # still counts as work, so the fleet outlives it.
                 if drain_and_exit and store.depth() == 0:
                     break
-                # Interruptible idle wait (small chunks so SIGTERM lands).
-                waited = 0.0
-                while waited < poll and not stop["flag"]:
-                    time.sleep(0.05)
-                    waited += 0.05
+                until = time.monotonic() + poll
+                while not stop["flag"]:
+                    left = until - time.monotonic()
+                    if left <= 0 or wake.acquire(timeout=min(left, 0.05)):
+                        break
                 continue
             payload = job.payload if isinstance(job.payload, dict) else {}
             try:
@@ -570,6 +582,12 @@ class WorkerPool:
     store's lease expiry, so a crash costs one visibility timeout, not the
     job.  ``stop()`` SIGTERMs every worker and waits for the graceful
     drain; stragglers are killed after ``timeout``.
+
+    Every worker the pool forks, respawns included, shares one
+    cross-process wake semaphore.  :meth:`wake` releases one token after
+    an enqueue commits, so one idle worker leases the job at once instead
+    of at its next ``poll``.  Tokens are capped at ``workers``: past the
+    cap every worker already has a wake-up pending.
     """
 
     def __init__(
@@ -584,8 +602,13 @@ class WorkerPool:
         drain_and_exit: bool = False,
         job_timeout: "float | None" = None,
     ) -> None:
+        import multiprocessing
+
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        self._wake = multiprocessing.BoundedSemaphore(workers)
+        for _ in range(workers):
+            self._wake.acquire()
         self.db_path = str(db_path)
         self.workers = workers
         self.cache_dir = cache_dir
@@ -617,6 +640,7 @@ class WorkerPool:
                 "poll": self.poll,
                 "drain_and_exit": self.drain_and_exit,
                 "job_timeout": self.job_timeout,
+                "wake": self._wake,
             },
             daemon=True,
             name=f"repro-worker-{worker_id}",
@@ -680,6 +704,13 @@ class WorkerPool:
             if not still:
                 self._procs = []
         return not still
+
+    def wake(self) -> None:
+        """Wake one idle worker to lease a job whose enqueue has committed."""
+        try:
+            self._wake.release()
+        except ValueError:
+            pass  # at the cap: every worker already has a wake-up pending
 
     # -- introspection / fault injection ------------------------------------
 

@@ -17,6 +17,9 @@ numbers under ``repro_*`` names — see ``render_prometheus``):
     lifetime counters (monotone until ``purge_terminal``).
 ``latency.{count,mean_seconds,p50_seconds,p99_seconds,max_seconds}``
     analysis run latency over the most recent ≤1024 finished jobs.
+``queue_wait.{count,mean_seconds,p50_seconds,p99_seconds,max_seconds}``
+    enqueue → last lease over the same jobs; a retried job's wait
+    includes its earlier attempts and backoff.
 ``cache.{memory_hits,disk_hits,misses,writes,hit_rate}``
     artifact-cache counters; ``hit_rate`` = hits / (hits + misses).
 ``workers.{configured,alive,respawned}``
@@ -64,9 +67,13 @@ class ServiceMetrics:
     # -- JSON ----------------------------------------------------------------
 
     def snapshot(self) -> dict:
+        runs, waits = (
+            self.store.run_latencies() if self.store is not None else ([], [])
+        )
         out: dict = {
             "queue": self._queue(),
-            "latency": self._latency(),
+            "latency": _summary(runs),
+            "queue_wait": _summary(waits),
             "cache": self._cache(),
             "workers": self._workers(),
             "service": self._service(),
@@ -90,17 +97,6 @@ class ServiceMetrics:
             "enqueued_total": totals["enqueued"],
             "retried_total": totals["retried"],
             "attempts_total": totals["attempts"],
-        }
-
-    def _latency(self) -> dict:
-        sample = self.store.run_latencies() if self.store is not None else []
-        return {
-            "count": len(sample),
-            "mean_seconds": (sum(sample) / len(sample)) if sample else 0.0,
-            "p50_seconds": percentile(sample, 0.50),
-            "p99_seconds": percentile(sample, 0.99),
-            "max_seconds": max(sample) if sample else 0.0,
-            "sum_seconds": sum(sample),
         }
 
     def _cache(self) -> dict:
@@ -211,17 +207,22 @@ class ServiceMetrics:
             [({}, queue.get("attempts_total", 0))],
         )
 
-        lat = snap["latency"]
-        metric(
-            "repro_analysis_latency_seconds", "summary",
-            "Run latency of finished jobs (recent window).",
-            [
-                ({"quantile": "0.5"}, lat["p50_seconds"]),
-                ({"quantile": "0.99"}, lat["p99_seconds"]),
-            ],
-        )
-        lines.append(f"repro_analysis_latency_seconds_sum {_num(lat['sum_seconds'])}")
-        lines.append(f"repro_analysis_latency_seconds_count {lat['count']}")
+        for name, key, help_ in (
+            ("repro_analysis_latency_seconds", "latency",
+             "Run latency of finished jobs (recent window)."),
+            ("repro_queue_wait_seconds", "queue_wait",
+             "Enqueue to last lease of finished jobs (recent window)."),
+        ):
+            summary = snap[key]
+            metric(
+                name, "summary", help_,
+                [
+                    ({"quantile": "0.5"}, summary["p50_seconds"]),
+                    ({"quantile": "0.99"}, summary["p99_seconds"]),
+                ],
+            )
+            lines.append(f"{name}_sum {_num(summary['sum_seconds'])}")
+            lines.append(f"{name}_count {summary['count']}")
 
         cache = snap["cache"]
         if cache.get("enabled"):
@@ -357,6 +358,18 @@ class ServiceMetrics:
                 ],
             )
         return "\n".join(lines) + "\n"
+
+
+def _summary(sample: "list[float]") -> dict:
+    """Count, mean, p50, p99, max and sum of a seconds sample."""
+    return {
+        "count": len(sample),
+        "mean_seconds": (sum(sample) / len(sample)) if sample else 0.0,
+        "p50_seconds": percentile(sample, 0.50),
+        "p99_seconds": percentile(sample, 0.99),
+        "max_seconds": max(sample) if sample else 0.0,
+        "sum_seconds": sum(sample),
+    }
 
 
 def _num(value) -> str:

@@ -9,7 +9,10 @@ Two serving modes share one process:
   jobs in a SQLite/WAL :class:`~repro.service.store.JobStore` drained by a
   :class:`~repro.service.jobs.WorkerPool` of analysis processes.  A server
   crash loses nothing: on restart, leased-but-unacked jobs are recovered
-  and the fleet resumes the queue.
+  and the fleet resumes the queue.  Every job that ``POST /jobs`` or a
+  queued ``POST /batch`` adds wakes one idle worker
+  (:meth:`WorkerPool.wake`); jobs enqueued by other processes wait for
+  the workers' next poll.
 
 Endpoints:
 
@@ -39,8 +42,8 @@ Endpoints:
   identical either way, plus a ``job_id`` per item in queued mode.  A
   ``jobs`` field is a 400: ``repro serve --workers N`` sizes the fleet.
 * ``GET /metrics`` — queue depth, per-state counts, retry/dead counters,
-  cache hit rate, and p50/p99 analysis latency; JSON by default,
-  Prometheus text with ``?format=prometheus`` (or ``Accept:
+  cache hit rate, and p50/p99 analysis latency and queue wait; JSON by
+  default, Prometheus text with ``?format=prometheus`` (or ``Accept:
   text/plain``).  See :mod:`repro.service.metrics` for every field.
 * ``GET /health`` — liveness plus queue/fleet facts.
 * ``GET /cache/stats`` — artifact-cache counters.
@@ -277,6 +280,8 @@ class AnalysisService:
             )
         else:
             raise RequestError(f"unknown job kind {kind!r}")
+        if self.pool is not None and not deduped:
+            self.pool.wake()
         job = store.get(job_id)
         return {
             "ok": True,
@@ -356,13 +361,15 @@ class AnalysisService:
         names = list(programs)
         ids = []
         for name in names:
-            job_id, _ = enqueue_analysis(
+            job_id, deduped = enqueue_analysis(
                 store,
                 programs[name],
                 options,
                 priority=priority,
                 dedupe=dedupe,
             )
+            if not deduped:
+                self.pool.wake()
             ids.append(job_id)
         started = time.perf_counter()
         jobs = wait_for_jobs(store, ids, timeout=timeout)

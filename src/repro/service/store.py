@@ -505,18 +505,24 @@ class JobStore:
             "degraded": degraded,
         }
 
-    def run_latencies(self, limit: int = 1024) -> list[float]:
-        """Run seconds of the most recently finished ``done`` jobs (newest
-        first) — the sample /metrics derives p50/p99 analysis latency from.
-        Durable: percentiles survive a server restart because the sample
-        is the store itself."""
+    def run_latencies(self, limit: int = 1024) -> tuple[list[float], list[float]]:
+        """``(run, wait)`` seconds of the most recently finished ``done``
+        jobs (newest first, index-aligned) — the one sample /metrics
+        derives its analysis-latency and queue-wait summaries from.  Run
+        is last lease → finish, wait is enqueue → last lease (see
+        :attr:`Job.wait_seconds`).  Durable: percentiles survive a server
+        restart because the sample is the store itself."""
         rows = self._conn().execute(
-            "SELECT finished_at - started_at AS dt FROM jobs"
+            "SELECT finished_at - started_at AS run,"
+            " started_at - enqueued_at AS wait FROM jobs"
             " WHERE state = 'done' AND started_at IS NOT NULL"
             " ORDER BY finished_at DESC LIMIT ?",
             (limit,),
         ).fetchall()
-        return [max(row["dt"], 0.0) for row in rows]
+        return (
+            [max(row["run"], 0.0) for row in rows],
+            [max(row["wait"], 0.0) for row in rows],
+        )
 
     def iter_jobs(self, ids: "list[int]") -> list[Job | None]:
         """Fetch many jobs by id (order preserved, ``None`` for unknown)."""

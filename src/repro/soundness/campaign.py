@@ -1192,9 +1192,10 @@ def run_campaign(
     unfinished shards run.
 
     The driver enqueues shards in waves (so coverage weights can steer
-    later generation), runs a worker fleet over the queue, and recovers
-    expired leases up front — a SIGKILLed previous run's in-flight shards
-    are re-delivered immediately instead of after a visibility timeout.
+    later generation), runs a worker fleet over the queue that each
+    enqueued shard wakes, and recovers expired leases up front — a
+    SIGKILLed previous run's in-flight shards are re-delivered
+    immediately instead of after a visibility timeout.
     """
     started = time.perf_counter()
     store = JobStore(db_path, visibility=visibility)
@@ -1233,6 +1234,8 @@ def run_campaign(
                 )
                 if not enqueued:
                     break
+                for _ in enqueued:
+                    pool.wake()
                 if log:
                     log(
                         f"wave: {len(enqueued)} shards"

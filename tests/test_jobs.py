@@ -312,6 +312,14 @@ class TestMetrics:
         assert snap["latency"]["count"] == 1
         assert snap["latency"]["p50_seconds"] >= 0
         assert snap["latency"]["p99_seconds"] >= snap["latency"]["p50_seconds"]
+        assert snap["queue_wait"]["count"] == 1
+        assert (
+            snap["queue_wait"]["max_seconds"]
+            >= snap["queue_wait"]["p99_seconds"]
+            >= snap["queue_wait"]["p50_seconds"]
+            == store.get(job.id).wait_seconds
+            >= 0
+        )
         assert snap["cache"]["hit_rate"] == 0.0
 
     def test_prometheus_rendering(self, store):
@@ -323,6 +331,11 @@ class TestMetrics:
         assert 'repro_analysis_latency_seconds{quantile="0.5"}' in text
         assert 'repro_analysis_latency_seconds{quantile="0.99"}' in text
         assert "repro_analysis_latency_seconds_count 0" in text
+        assert "# TYPE repro_queue_wait_seconds summary" in text
+        assert 'repro_queue_wait_seconds{quantile="0.5"}' in text
+        assert 'repro_queue_wait_seconds{quantile="0.99"}' in text
+        assert "repro_queue_wait_seconds_sum 0\n" in text
+        assert "repro_queue_wait_seconds_count 0" in text
         assert text.endswith("\n")
 
     def test_degrades_without_store_or_cache(self):
@@ -576,6 +589,88 @@ class TestJobEndpoints:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestWake:
+    """An idle worker waits for a wake token or its poll, whichever comes
+    first: a served enqueue starts its job at once, and the poll still
+    finds what no token announces."""
+
+    @pytest.mark.parametrize("route", ["/jobs", "/batch"])
+    def test_served_enqueue_wakes_an_idle_worker(self, tmp_path, route):
+        db = tmp_path / "jobs.sqlite3"
+        store = JobStore(db, visibility=5.0)
+        first, _ = store.enqueue({"seconds": 0}, kind="sleep")
+        pool = WorkerPool(db, 1, visibility=5.0, poll=30.0).start()
+        server = make_server(port=0, store=store, pool=pool)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            # The first job runs at start-up; then the worker idles on a
+            # 30 s poll that only a wake token cuts short.
+            assert wait_for_jobs(store, [first], timeout=30.0)[0].state == "done"
+            if route == "/jobs":
+                status, body = _post(
+                    server, "/jobs", {"kind": "sleep", "seconds": 0}
+                )
+                assert status == 202
+                job_id = body["id"]
+            else:
+                status, body = _post(
+                    server, "/batch",
+                    {"programs": {"a": SIMPLE}, "options": FAST, "timeout": 5},
+                )
+                assert status == 200
+                job_id = body["items"][0]["job_id"]
+            job = wait_for_jobs(store, [job_id], timeout=5.0)[0]
+            assert job.state == "done" and job.wait_seconds < 1.0
+            for _ in range(3):
+                pool.wake()  # past the cap of one token: a no-op
+        finally:
+            server.shutdown()
+            server.server_close()
+            pool.stop(graceful=True, timeout=20.0)
+
+    def test_concurrent_enqueues_strand_no_job(self, tmp_path):
+        """Four clients POST 40 jobs at once to three workers on a 30 s
+        poll: tokens past the cap are dropped, yet no job is left queued
+        while every worker idles, and none is leased twice."""
+        db = tmp_path / "jobs.sqlite3"
+        store = JobStore(db, visibility=5.0)
+        pool = WorkerPool(db, 3, visibility=5.0, poll=30.0).start()
+        server = make_server(port=0, store=store, pool=pool)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        ids: list = []
+
+        def client() -> None:
+            for _ in range(10):
+                _, body = _post(server, "/jobs", {"kind": "sleep", "seconds": 0})
+                ids.append(body["id"])
+
+        try:
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for c in clients:
+                c.start()
+            for c in clients:
+                c.join(timeout=30.0)
+            assert not any(c.is_alive() for c in clients) and len(ids) == 40
+            jobs = wait_for_jobs(store, ids, timeout=20.0)
+            assert [(job.state, job.attempts) for job in jobs] == [("done", 1)] * 40
+        finally:
+            server.shutdown()
+            server.server_close()
+            pool.stop(graceful=True, timeout=20.0)
+
+    def test_poll_finds_a_job_enqueued_by_another_handle(self, tmp_path):
+        db = tmp_path / "jobs.sqlite3"
+        store = JobStore(db, visibility=5.0)
+        first, _ = store.enqueue({"seconds": 0}, kind="sleep")
+        with WorkerPool(db, 1, visibility=5.0, poll=0.2):
+            assert wait_for_jobs(store, [first], timeout=30.0)[0].state == "done"
+            job_id, _ = JobStore(db).enqueue({"seconds": 0}, kind="sleep")
+            job = wait_for_jobs(store, [job_id], timeout=5.0)[0]
+        assert job.state == "done"
 
 
 # ---------------------------------------------------------------------------

@@ -293,8 +293,16 @@ class TestMetricsQueries:
             job_id, _ = store.enqueue({"n": i})
             job = store.lease("w")
             store.ack(job.id, "w", {})
-        sample = store.run_latencies()
-        assert len(sample) == 3 and all(dt >= 0 for dt in sample)
+            # enqueued at 100, leased after a wait of i + 1, run for 10 * i
+            store._conn().execute(
+                "UPDATE jobs SET enqueued_at = 100, started_at = ?,"
+                " finished_at = ? WHERE id = ?",
+                (101.0 + i, 101.0 + 11 * i, job_id),
+            )
+        store.enqueue({"n": 3})  # still queued: in neither sample
+        runs, waits = store.run_latencies()
+        assert runs == [20.0, 10.0, 0.0] and waits == [3.0, 2.0, 1.0]
+        assert store.run_latencies(limit=1) == ([20.0], [3.0])
 
     def test_purge_and_vacuum(self, store):
         job_id, _ = store.enqueue({"n": 1})

@@ -10,11 +10,11 @@ Two tiers:
   ``python -m repro serve`` as a subprocess on a temp DB, enqueue a
   200-job mix over HTTP, SIGKILL a worker mid-job and assert the lease is
   retried, SIGTERM the server mid-queue and restart it asserting queued
-  jobs resume, and scrape ``/metrics`` asserting depth and latency keys.
-  Zero jobs may be lost.  Its concurrency drill runs ``repro serve``
-  without a fleet: concurrent ``/analyze`` and inline ``/batch`` clients
-  share constraint systems through the server's artifact cache and must
-  get the answers a single client gets.
+  jobs resume, and scrape ``/metrics`` asserting depth, latency and
+  queue-wait keys.  Zero jobs may be lost.  Its concurrency drill runs
+  ``repro serve`` without a fleet: concurrent ``/analyze`` and inline
+  ``/batch`` clients share constraint systems through the server's
+  artifact cache and must get the answers a single client gets.
 """
 
 import json
@@ -389,7 +389,8 @@ class TestServiceSmoke:
                 if i not in fail_ids
             ), "no lease retry observed after SIGKILL"
 
-            # 6. Scrape /metrics: depth gauge and latency quantiles.
+            # 6. Scrape /metrics: depth gauge, latency and queue-wait
+            # quantiles.
             _, raw = _get(port, "/metrics")
             snap = json.loads(raw)
             assert snap["queue"]["depth"] == 0
@@ -397,10 +398,14 @@ class TestServiceSmoke:
             assert snap["latency"]["count"] >= 1
             for key in ("p50_seconds", "p99_seconds", "mean_seconds"):
                 assert key in snap["latency"]
+            wait = snap["queue_wait"]
+            assert wait["count"] >= 1
+            assert wait["p99_seconds"] >= wait["p50_seconds"]
             _, raw = _get(port, "/metrics?format=prometheus")
             text = raw.decode()
             assert "repro_queue_depth 0" in text
             assert 'repro_analysis_latency_seconds{quantile="0.99"}' in text
+            assert 'repro_queue_wait_seconds{quantile="0.99"}' in text
             store.close()
 
             proc.send_signal(signal.SIGTERM)
