@@ -5,10 +5,11 @@ The same cold workload is run twice:
 * **direct** — sequential in-process analysis, one fresh
   :class:`~repro.service.cache.ArtifactCache` per program (the floor: what
   the work itself costs);
-* **queue** — ``run_batch(..., executor="queue")``: every program becomes a
-  durable row in a temp SQLite :class:`~repro.service.store.JobStore`,
-  drained by a 2-process :class:`~repro.service.jobs.WorkerPool` through a
-  shared disk cache, results read back from acked rows.
+* **queue** — every program is enqueued as a durable row in a temp SQLite
+  :class:`~repro.service.store.JobStore`; a 2-process
+  :class:`~repro.service.jobs.WorkerPool` runs them through a shared disk
+  cache, :func:`~repro.service.jobs.wait_for_jobs` reads the acked rows
+  back, and the fleet is stopped.
 
 The delta is the full price of durability — enqueue transactions, lease
 polling, process startup, result JSON round-trips.  The numbers go to
@@ -24,9 +25,11 @@ import tempfile
 import time
 
 from _harness import emit
-from repro import AnalysisOptions, AnalysisPipeline, ArtifactCache
+from repro import AnalysisOptions, AnalysisPipeline
+from repro.lang.printer import canonical_program
 from repro.programs.synthetic import coupon_chain, rdwalk_chain
-from repro.service.executor import run_batch
+from repro.service.jobs import WorkerPool, options_to_dict, wait_for_jobs
+from repro.service.store import JobStore
 
 RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_queue.json"
 
@@ -54,27 +57,39 @@ def _direct_pass() -> float:
     return time.perf_counter() - start
 
 
-def _queue_pass() -> tuple[float, object]:
-    programs = {name: make() for name, make in WORKLOAD.items()}
+def _queue_pass() -> tuple[float, list]:
+    programs = [make() for make in WORKLOAD.values()]
+    options = options_to_dict(AnalysisOptions(moment_degree=MOMENT_DEGREE))
     with tempfile.TemporaryDirectory() as cache_dir:
         start = time.perf_counter()
-        report = run_batch(
-            programs,
-            options=AnalysisOptions(moment_degree=MOMENT_DEGREE),
-            executor="queue",
-            jobs=WORKERS,
-            cache=ArtifactCache(cache_dir),
-        )
+        with tempfile.TemporaryDirectory() as db_dir:
+            store = JobStore(pathlib.Path(db_dir) / "jobs.sqlite3")
+            ids = [
+                store.enqueue(
+                    {"program": canonical_program(program), "options": options},
+                    kind="analyze",
+                )[0]
+                for program in programs
+            ]
+            pool = WorkerPool(store.path, WORKERS, cache_dir, poll=0.05).start()
+            try:
+                jobs = wait_for_jobs(store, ids, timeout=600.0)
+            finally:
+                pool.stop(graceful=True, timeout=10.0)
+                store.close()
         elapsed = time.perf_counter() - start
-    return elapsed, report
+    return elapsed, jobs
 
 
 def test_queue_batch_overhead(benchmark):
     direct_total = _direct_pass()
-    queue_total, report = benchmark.pedantic(_queue_pass, rounds=1, iterations=1)
+    queue_total, jobs_done = benchmark.pedantic(
+        _queue_pass, rounds=1, iterations=1
+    )
 
-    assert report.ok, [item.error for item in report.items if not item.ok]
-    assert all(item.job_id is not None for item in report.items)
+    assert all(job.state == "done" for job in jobs_done), [
+        (job.id, job.state, job.error) for job in jobs_done
+    ]
     jobs = len(WORKLOAD)
     overhead = queue_total - direct_total
     per_job = overhead / jobs

@@ -11,16 +11,16 @@ filtered by name prefix) through the batch executor
 program; failed programs are reported inline and make the exit code
 non-zero (``--quiet`` hides the success rows, never the failures).
 ``--jobs N`` (``batch``, ``check --suite``, ``fuzz``) runs the analyses on
-N worker processes instead of in this process; ``batch --executor queue``
-routes the workload through the durable job store.  ``python -m repro
+N worker processes instead of in this process.  ``python -m repro
 serve`` starts the HTTP JSON API (:mod:`repro.service.server`); with
 ``--workers N`` it also runs the durable-queue worker fleet behind ``POST
-/jobs`` / ``GET /metrics``.
+/jobs``, ``POST /batch`` and ``GET /metrics``.
 
 ``python -m repro jobs enqueue|status|drain`` scripts the same job store
 without HTTP: enqueue one analysis (``--dedupe`` for content-addressed
 idempotency), inspect queue counts or one job's full row, or drain the
-queue with an ephemeral worker fleet (:mod:`repro.service.jobs`).
+queue with a worker fleet that respawns dead workers and is stopped once
+the queue is empty (:mod:`repro.service.jobs`).
 
 ``python -m repro fuzz`` runs the differential soundness harness
 (:mod:`repro.soundness.differential`): generated Appl programs are analyzed
@@ -180,26 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch_cmd.add_argument(
         "--jobs", "--workers", type=_positive_int, default=None, metavar="N",
         dest="jobs",
-        help="local: worker processes (default 1: analyze in this process); "
-        "queue: fleet size (default min(8, #programs))",
-    )
-    batch_cmd.add_argument(
-        "--executor", choices=("local", "queue"), default="local",
-        help="local: analyze here, or on --jobs worker processes that share "
-        "--cache-dir; queue: enqueue durable jobs into a SQLite store "
-        "drained by a worker fleet (--db joins an existing store, else an "
-        "ephemeral one)",
-    )
-    batch_cmd.add_argument(
-        "--db", default=None, metavar="PATH",
-        help="with --executor queue: enqueue into this job store (a running "
-        "'repro serve --workers N --db PATH' fleet drains it); default is "
-        "an ephemeral store + fleet for just this batch",
-    )
-    batch_cmd.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="with --executor queue: give up waiting for the fleet after "
-        "this long (default 600)",
+        help="worker processes that share --cache-dir (default 1: analyze "
+        "in this process)",
     )
     batch_cmd.add_argument(
         "--quiet", action="store_true",
@@ -501,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     drain = jobs_sub.add_parser(
-        "drain", help="run an ephemeral worker fleet until the queue is empty"
+        "drain", help="run a worker fleet until the queue is empty"
     )
     drain.add_argument("--db", required=True, metavar="PATH")
     drain.add_argument(
@@ -655,12 +637,6 @@ def _print_reduction_stats(stats, out) -> None:
 def _run_batch(args, out) -> int:
     from repro.programs import registry
 
-    if args.executor != "queue":
-        for flag, value in (("--db", args.db), ("--timeout", args.timeout)):
-            if value is not None:
-                print(f"{flag} needs --executor queue", file=out)
-                return 2
-
     workload = {}
     for name, bench in sorted(registry.all_benchmarks().items()):
         if not name.startswith(args.prefix):
@@ -675,19 +651,7 @@ def _run_batch(args, out) -> int:
 
     from repro.service.executor import run_batch
 
-    store = None
-    if args.db:
-        from repro.service.store import JobStore
-
-        store = JobStore(args.db)
-    report = run_batch(
-        workload,
-        jobs=args.jobs,
-        executor=args.executor,
-        cache=_make_cache(args),
-        store=store,
-        timeout=600.0 if args.timeout is None else args.timeout,
-    )
+    report = run_batch(workload, jobs=args.jobs, cache=_make_cache(args))
 
     width = max(len(item.name) for item in report.items)
     quiet = getattr(args, "quiet", False)
@@ -710,7 +674,7 @@ def _run_batch(args, out) -> int:
     failed = report.failures
     print(
         f"{len(report.items)} programs in {report.elapsed:.2f}s "
-        f"(executor={report.executor}, jobs={report.jobs}"
+        f"(jobs={report.jobs}"
         + (f", {len(failed)} failed" if failed else "")
         + ")",
         file=out,
@@ -719,30 +683,13 @@ def _run_batch(args, out) -> int:
 
 
 def _batch_row(item, width: int) -> str:
-    """One success row of the batch table, whichever executor ran it.
-
-    A local batch hands back the in-memory result object; the queue
-    executor hands back the worker's JSON document (the result never
-    leaves the store as an object) — both carry the same numbers.
-    """
-    if item.result is not None:
-        result = item.result
-        interval = result.raw_interval(1)
-        lo, hi = interval.lo, interval.hi
-        var_hi = result.variance().hi if result.raw.degree >= 2 else None
-        lp_vars = result.lp_variables
-        seconds = result.solve_seconds
-    else:
-        doc = (item.payload or {}).get("result", {})
-        evaluated = doc.get("evaluated", {})
-        lo, hi = evaluated.get("E[C^1]", [float("nan")] * 2)
-        var = evaluated.get("V[C]")
-        var_hi = var[1] if var else None
-        lp_vars = doc.get("lp_variables", 0)
-        seconds = item.seconds
-    line = f"{item.name:<{width}} [{lo:>11.4g}, {hi:>11.4g}]"
+    """One success row of the batch table."""
+    result = item.result
+    interval = result.raw_interval(1)
+    var_hi = result.variance().hi if result.raw.degree >= 2 else None
+    line = f"{item.name:<{width}} [{interval.lo:>11.4g}, {interval.hi:>11.4g}]"
     line += f" {var_hi:>12.4g}" if var_hi is not None else f" {'-':>12}"
-    line += f" {lp_vars:>8} {seconds:>9.3f}"
+    line += f" {result.lp_variables:>8} {result.solve_seconds:>9.3f}"
     return line
 
 
@@ -1076,7 +1023,8 @@ def _run_jobs(args, out) -> int:
             )
         return 0
 
-    # drain: an ephemeral fleet empties the queue, then exits.
+    # drain: a fleet runs until the queue is empty, then is stopped; a
+    # worker that dies meanwhile is respawned like any fleet's.
     from repro.service.jobs import WorkerPool, drain_queue
 
     store = JobStore(args.db, visibility=args.visibility)
@@ -1094,12 +1042,10 @@ def _run_jobs(args, out) -> int:
         else None
     )
     pool = WorkerPool(
-        args.db, args.workers, cache_dir,
-        visibility=args.visibility, poll=0.05, drain_and_exit=True,
+        args.db, args.workers, cache_dir, visibility=args.visibility, poll=0.05
     ).start()
     try:
         drained = drain_queue(store, timeout=args.timeout)
-        pool.join(timeout=30.0)
     finally:
         pool.stop(graceful=True, timeout=10.0)
     counts = store.counts()

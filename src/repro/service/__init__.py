@@ -9,9 +9,8 @@ explicit; this package makes them *durable* and *shared*:
   backed by an in-memory LRU and an on-disk pickle cache that survives the
   process and is shared between processes.
 * :mod:`repro.service.executor` — the batch executor: a named workload
-  run in this process, on worker processes, or through the job queue,
-  with per-program error isolation, deterministic result ordering, and a
-  shared disk cache.
+  run in this process or on worker processes, with per-program error
+  isolation, deterministic result ordering, and a shared disk cache.
 * :mod:`repro.service.store` — the durable job queue: a SQLite/WAL-backed
   :class:`JobStore` with priorities, idempotent enqueue, leases with
   visibility timeouts, bounded retries with exponential backoff, and a
@@ -19,15 +18,16 @@ explicit; this package makes them *durable* and *shared*:
   survives any crash.
 * :mod:`repro.service.jobs` — the worker fleet: :class:`WorkerPool`
   processes drain the store through the analysis pipeline + shared
-  artifact cache, with per-job error isolation, lease heartbeats,
-  crash re-delivery, and graceful SIGTERM drain.
+  artifact cache until stopped, with per-job error isolation, lease
+  heartbeats, respawn and crash re-delivery, and graceful SIGTERM drain.
 * :mod:`repro.service.metrics` — ``GET /metrics``: queue depth, per-state
   counts, retry counters, cache hit rate, and p50/p99 analysis latency in
   JSON and Prometheus text formats.
 * :mod:`repro.service.server` — ``repro serve``: a stdlib-only HTTP JSON
   API (``POST /analyze``, ``POST /jobs``, ``GET /jobs/{id}[/result]``,
   ``POST /batch``, ``GET /metrics``, ``GET /health``, ``GET
-  /cache/stats``) keeping warm pipelines per program hash.
+  /cache/stats``) keeping warm pipelines per program hash.  With
+  ``--workers N``, ``POST /batch`` is the durable way to run a workload.
 """
 
 from repro.lazy import lazy_exports

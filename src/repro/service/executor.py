@@ -1,23 +1,23 @@
-"""Batch executor: a named workload in this process, on cores, or queued.
+"""Batch executor: a named workload in this process or on cores.
 
 ``run_batch`` runs a named workload of programs through the analysis
-pipeline, with ``executor="local"`` (default) or ``"queue"``:
+pipeline:
 
-* **local, ``jobs=1``** (default): a plain loop in the calling process,
-  sharing its in-memory caches.
-* **local, ``jobs > 1``**: ``min(jobs, #programs)`` worker processes.
+* **``jobs=1``** (default): a plain loop in the calling process, sharing
+  its in-memory caches.
+* **``jobs > 1``**: ``min(jobs, #programs)`` worker processes.
   Derivation is pure Python and holds the GIL, so cores pay where threads
   never did.  Workers are handed each program's *canonical text*
   (:func:`repro.lang.printer.canonical_program`, its content address)
   rather than a pickled AST, and own a private in-memory cache; with a
   disk-backed :class:`ArtifactCache` they all share one store.
-* **queue**: every program becomes a durable job in a
-  :class:`~repro.service.store.JobStore` drained by a worker fleet.
 
 Either way one failing program does not abort the batch (its
 :class:`BatchItem` records the error; ``BatchReport.ok`` is False), and
 results come back in workload order.  A program gets bit-identical
-bounds at every ``jobs``.
+bounds at every ``jobs``.  The durable route for a workload is ``repro
+serve --workers N`` and ``POST /batch``: its jobs live in a
+:class:`~repro.service.store.JobStore` drained by a worker fleet.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from repro.lang.ast import Program
 from repro.lang.printer import canonical_program
 from repro.service.cache import ArtifactCache
 
-EXECUTORS = ("local", "queue")
-
 
 @dataclass
 class BatchItem:
@@ -43,24 +41,9 @@ class BatchItem:
     name: str
     ok: bool
     result: MomentBoundResult | None = None
-    #: Why the program failed; a local batch writes
-    #: ``"<ExceptionType>: <message>"``.
+    #: Why the program failed: ``"<ExceptionType>: <message>"``.
     error: str | None = None
     seconds: float = 0.0
-    #: Queue executor only: the durable job id and the worker's JSON result
-    #: document (``{"summary": ..., "result": <to_dict()>}``) — the
-    #: in-memory ``result`` object never crosses the store.
-    job_id: int | None = None
-    payload: dict | None = None
-
-    @property
-    def summary(self) -> str | None:
-        """The result's summary text, whichever executor produced it."""
-        if self.result is not None:
-            return self.result.summary()
-        if self.payload is not None:
-            return self.payload.get("summary")
-        return None
 
 
 @dataclass
@@ -68,7 +51,6 @@ class BatchReport:
     """All outcomes, in workload order, plus batch-level accounting."""
 
     items: list[BatchItem] = field(default_factory=list)
-    executor: str = "local"
     #: Workers actually used: 1 for an in-process batch.
     jobs: int = 1
     elapsed: float = 0.0
@@ -107,49 +89,28 @@ def run_batch(
     programs: "Mapping | Iterable[tuple[str, Program]]",
     options: AnalysisOptions | None = None,
     jobs: int | None = None,
-    executor: str = "local",
     cache: ArtifactCache | None = None,
-    store=None,
-    timeout: float = 600.0,
 ) -> BatchReport:
     """Analyze a named workload; see the module docstring for semantics.
 
     ``programs`` maps names to a :class:`Program` or a ``(Program,
     AnalysisOptions)`` pair (or is an iterable of ``(name, entry)``
     pairs); entries without their own options use ``options``.
-
-    ``jobs`` is the worker count: 1 by default for a local batch, and
-    ``min(8, #programs)`` for the queue.  ``executor="queue"`` makes the
-    batch a thin client of the durable
-    :class:`~repro.service.store.JobStore`: every program is enqueued as a
-    job and the call blocks until the queue finishes them.
-    With ``store`` given, an external fleet (a running ``repro serve
-    --workers N``) does the work; without one, an ephemeral drain-and-exit
-    :class:`~repro.service.jobs.WorkerPool` over a temporary database is
-    spun up just for this batch.  Either way the work survives worker
-    crashes (lease expiry re-delivers) and failed programs come back as
-    structured ``BatchItem`` errors, not exceptions.
+    ``jobs`` is the worker count (default 1: this process).
     """
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     workload = _normalize(programs, options or AnalysisOptions())
     start = time.perf_counter()
-    if executor == "queue":
-        workers = jobs or min(8, len(workload) or 1)
-        report = BatchReport(executor=executor, jobs=workers)
-        _run_queue(workload, workers, cache, report, store, timeout)
+    workers = max(1, min(jobs or 1, len(workload)))
+    report = BatchReport(jobs=workers)
+    if workers == 1:
+        report.items = [
+            _analyze_one(name, program, opts, cache)
+            for name, program, opts in workload
+        ]
     else:
-        workers = max(1, min(jobs or 1, len(workload)))
-        report = BatchReport(executor=executor, jobs=workers)
-        if workers == 1:
-            report.items = [
-                _analyze_one(name, program, opts, cache)
-                for name, program, opts in workload
-            ]
-        else:
-            _run_processes(workload, workers, cache, report)
+        _run_processes(workload, workers, cache, report)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -232,68 +193,4 @@ def _run_processes(workload, max_workers, cache, report) -> None:
         )
 
 
-# -- queue mode --------------------------------------------------------------
-
-
-def _run_queue(workload, max_workers, cache, report, store, timeout) -> None:
-    """The batch as a thin client of the durable job store.
-
-    With an external ``store`` the jobs are drained by whatever fleet is
-    attached to it (e.g. a running ``repro serve --workers N``).  Without
-    one, an ephemeral store + drain-and-exit fleet lives exactly as long
-    as this batch.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.service.jobs import (
-        WorkerPool,
-        job_outcome,
-        options_to_dict,
-        wait_for_jobs,
-    )
-    from repro.service.store import JobStore
-
-    tmp = None
-    pool = None
-    owned = store is None
-    try:
-        if owned:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-batch-queue-")
-            store = JobStore(Path(tmp.name) / "jobs.sqlite3")
-        names, ids = [], []
-        for name, program, opts in workload:
-            payload = {
-                "program": canonical_program(program),
-                "options": options_to_dict(opts),
-            }
-            job_id, _ = store.enqueue(payload, kind="analyze")
-            names.append(name)
-            ids.append(job_id)
-        if owned:
-            cache_dir = None
-            if cache is not None and cache.directory is not None:
-                cache_dir = str(cache.directory.parent)
-            pool = WorkerPool(
-                store.path, max_workers, cache_dir,
-                poll=0.05, drain_and_exit=True,
-            ).start()
-        jobs = wait_for_jobs(store, ids, timeout=timeout)
-        for name, job_id, job in zip(names, ids, jobs):
-            error = job_outcome(job, timeout)
-            finished = job is not None and job.terminal
-            report.items.append(BatchItem(
-                name=name, ok=error is None, job_id=job_id, error=error,
-                payload=job.result if error is None else None,
-                seconds=(job.run_seconds or 0.0) if finished else 0.0,
-            ))
-    finally:
-        if pool is not None:
-            pool.stop(graceful=True, timeout=10.0)
-        if owned and store is not None:
-            store.close()
-        if tmp is not None:
-            tmp.cleanup()
-
-
-__all__ = ["BatchItem", "BatchReport", "EXECUTORS", "run_batch"]
+__all__ = ["BatchItem", "BatchReport", "run_batch"]

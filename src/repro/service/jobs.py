@@ -479,7 +479,6 @@ def worker_main(
     *,
     visibility: float = 60.0,
     poll: float = 0.2,
-    drain_and_exit: bool = False,
     max_jobs: "int | None" = None,
     job_timeout: "float | None" = None,
     wake=None,
@@ -487,8 +486,9 @@ def worker_main(
     """Entry point of one fleet worker (runs in its own process).
 
     Loops lease → execute → ack/nack until SIGTERM (graceful: the in-flight
-    job is finished and acked first) or, with ``drain_and_exit``, until the
-    queue is empty.  Returns the number of jobs executed.
+    job is finished and acked first) or, in-process, until it has executed
+    ``max_jobs`` jobs.  An empty queue never ends the loop.  Returns the
+    number of jobs executed.
 
     When a lease finds nothing, the worker waits up to ``poll`` seconds
     for a token on ``wake`` (the :class:`WorkerPool`'s semaphore, released
@@ -530,11 +530,6 @@ def worker_main(
                 time.sleep(poll)
                 continue
             if job is None:
-                # Drain mode exits only when nothing is owed at all — a
-                # backoff-delayed retry (queued with a future not_before)
-                # still counts as work, so the fleet outlives it.
-                if drain_and_exit and store.depth() == 0:
-                    break
                 until = time.monotonic() + poll
                 while not stop["flag"]:
                     left = until - time.monotonic()
@@ -577,11 +572,12 @@ def worker_main(
 class WorkerPool:
     """``workers`` processes running :func:`worker_main` over one store.
 
-    A maintenance thread watches the fleet: a worker that dies (OOM,
-    SIGKILL, bug) is respawned — its in-flight job is re-delivered by the
-    store's lease expiry, so a crash costs one visibility timeout, not the
-    job.  ``stop()`` SIGTERMs every worker and waits for the graceful
-    drain; stragglers are killed after ``timeout``.
+    The fleet runs until :meth:`stop`, however empty the queue gets.  A
+    maintenance thread watches it: a worker that dies (OOM, SIGKILL, bug)
+    is respawned — its in-flight job is re-delivered by the store's lease
+    expiry, so a crash costs one visibility timeout, not the job.
+    ``stop()`` SIGTERMs every worker and waits for the graceful drain;
+    stragglers are killed after ``timeout``.
 
     Every worker the pool forks, respawns included, shares one
     cross-process wake semaphore.  :meth:`wake` releases one token after
@@ -599,7 +595,6 @@ class WorkerPool:
         visibility: float = 60.0,
         poll: float = 0.2,
         respawn: bool = True,
-        drain_and_exit: bool = False,
         job_timeout: "float | None" = None,
     ) -> None:
         import multiprocessing
@@ -615,8 +610,7 @@ class WorkerPool:
         self.visibility = visibility
         self.poll = poll
         self.job_timeout = job_timeout
-        self.respawn = respawn and not drain_and_exit
-        self.drain_and_exit = drain_and_exit
+        self.respawn = respawn
         self.respawned = 0
         self._procs: list = []
         self._stopping = False
@@ -638,7 +632,6 @@ class WorkerPool:
             kwargs={
                 "visibility": self.visibility,
                 "poll": self.poll,
-                "drain_and_exit": self.drain_and_exit,
                 "job_timeout": self.job_timeout,
                 "wake": self._wake,
             },
@@ -686,24 +679,6 @@ class WorkerPool:
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=5.0)
-
-    def join(self, timeout: "float | None" = None) -> bool:
-        """Wait for every worker to exit on its own (``drain_and_exit``
-        fleets); ``False`` if some worker is still running at timeout."""
-        deadline = None if timeout is None else time.time() + timeout
-        with self._lock:
-            procs = list(self._procs)
-        for proc in procs:
-            remaining = (
-                None if deadline is None else max(deadline - time.time(), 0.0)
-            )
-            proc.join(timeout=remaining)
-        with self._lock:
-            self._stopping = True
-            still = any(proc.is_alive() for proc in procs)
-            if not still:
-                self._procs = []
-        return not still
 
     def wake(self) -> None:
         """Wake one idle worker to lease a job whose enqueue has committed."""
@@ -783,15 +758,22 @@ def wait_for_jobs(
     poll: float = 0.05,
 ) -> "list[Job | None]":
     """Block until every id is terminal (done/dead) or ``timeout`` passes;
-    returns the jobs in input order (callers inspect ``state``)."""
+    returns the jobs in input order (callers inspect ``state``).
+
+    The first pause between reads is 1 ms, and each pause doubles up to
+    ``poll``: a short job is answered a few ms after its ack instead of up
+    to ``poll`` later, and a long one is still read every ``poll``.
+    """
     deadline = time.time() + timeout
+    pause = min(0.001, poll)
     while True:
         jobs = store.iter_jobs(ids)
         if all(job is not None and job.terminal for job in jobs):
             return jobs
         if time.time() >= deadline:
             return jobs
-        time.sleep(poll)
+        time.sleep(pause)
+        pause = min(2 * pause, poll)
 
 
 def job_outcome(job: "Job | None", timeout: float) -> "str | None":

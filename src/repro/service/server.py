@@ -37,10 +37,12 @@ Endpoints:
   handler waits for the queue to finish them (durable fan-out — the jobs
   survive even if the client disconnects; ``priority``, ``dedupe`` and a
   positive ``timeout`` in seconds are checked like ``/jobs`` fields).
-  Without a fleet the handler thread analyzes the programs one after
-  another through the server's artifact cache.  Response shape is
-  identical either way, plus a ``job_id`` per item in queued mode.  A
-  ``jobs`` field is a 400: ``repro serve --workers N`` sizes the fleet.
+  This is the durable way to run a workload: ``repro batch`` runs in its
+  own process or on ``--jobs`` processes only.  Without a fleet the
+  handler thread analyzes the programs one after another through the
+  server's artifact cache.  Response shape is identical either way, plus
+  a ``job_id`` per item in queued mode.  A ``jobs`` field is a 400:
+  ``repro serve --workers N`` sizes the fleet.
 * ``GET /metrics`` — queue depth, per-state counts, retry/dead counters,
   cache hit rate, and p50/p99 analysis latency and queue wait; JSON by
   default, Prometheus text with ``?format=prometheus`` (or ``Accept:

@@ -165,35 +165,28 @@ def _decode(row: sqlite3.Row) -> Job:
     )
 
 
-class JobStore:
-    """Durable priority queue over one SQLite file (see module docstring).
+class SQLiteStore:
+    """Tables in one SQLite file: WAL mode, one connection per thread, and
+    ``BEGIN IMMEDIATE`` transactions.
 
-    ``retry_base``/``retry_cap`` shape the exponential backoff applied by
-    :meth:`nack`: the n-th retry waits ``min(retry_base * 2**(n-1),
-    retry_cap)`` seconds.  ``visibility`` is the default lease length.
+    :class:`JobStore` and the fuzzing campaign's ``CampaignStore`` build
+    on it; a campaign keeps its tables in the queue's file.  A subclass
+    sets ``SCHEMA``, the idempotent DDL of its tables, which runs when a
+    store opens the file.
     """
 
+    SCHEMA = ""
+
     def __init__(
-        self,
-        path: "str | os.PathLike",
-        *,
-        visibility: float = 60.0,
-        retry_base: float = 0.25,
-        retry_cap: float = 60.0,
-        busy_timeout: float = 30.0,
+        self, path: "str | os.PathLike", *, busy_timeout: float = 30.0
     ) -> None:
         self.path = Path(path)
-        self.visibility = visibility
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
         self._busy_ms = int(busy_timeout * 1000)
         self._local = threading.local()
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         # executescript manages its own transaction (implicit COMMIT first).
-        self._conn().executescript(_SCHEMA)
-
-    # -- connections --------------------------------------------------------
+        self._conn().executescript(self.SCHEMA)
 
     def _conn(self) -> sqlite3.Connection:
         conn = getattr(self._local, "conn", None)
@@ -237,6 +230,31 @@ class JobStore:
         if conn is not None:
             conn.close()
             self._local.conn = None
+
+
+class JobStore(SQLiteStore):
+    """Durable priority queue over one SQLite file (see module docstring).
+
+    ``retry_base``/``retry_cap`` shape the exponential backoff applied by
+    :meth:`nack`: the n-th retry waits ``min(retry_base * 2**(n-1),
+    retry_cap)`` seconds.  ``visibility`` is the default lease length.
+    """
+
+    SCHEMA = _SCHEMA
+
+    def __init__(
+        self,
+        path: "str | os.PathLike",
+        *,
+        visibility: float = 60.0,
+        retry_base: float = 0.25,
+        retry_cap: float = 60.0,
+        busy_timeout: float = 30.0,
+    ) -> None:
+        self.visibility = visibility
+        self.retry_base = retry_base
+        self.retry_cap = retry_cap
+        super().__init__(path, busy_timeout=busy_timeout)
 
     # -- enqueue ------------------------------------------------------------
 
@@ -556,4 +574,4 @@ class JobStore:
         conn.execute("VACUUM")
 
 
-__all__ = ["Job", "JobStore", "JOB_STATES", "TERMINAL_STATES"]
+__all__ = ["Job", "JobStore", "JOB_STATES", "SQLiteStore", "TERMINAL_STATES"]

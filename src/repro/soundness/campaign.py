@@ -51,7 +51,6 @@ import json
 import math
 import os
 import sqlite3
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -65,7 +64,7 @@ from repro.programs.fuzz import (
     generate_shard_corpus,
 )
 from repro.service.jobs import JobFailure, wait_for_jobs
-from repro.service.store import Job, JobStore
+from repro.service.store import Job, JobStore, SQLiteStore
 from repro.soundness import corpus as corpus_store
 from repro.soundness.differential import (
     STATUSES,
@@ -276,58 +275,17 @@ def apply_worker_guards(max_rss_mb: "int | None") -> None:
 # ---------------------------------------------------------------------------
 
 
-class CampaignStore:
+class CampaignStore(SQLiteStore):
     """Campaign tables in the queue's SQLite file (WAL, BEGIN IMMEDIATE).
 
     Sharing the file with :class:`JobStore` means a shard-completion
     transaction and the job ack hit the same durable medium; the ordering
     (complete first, ack second) plus the done-shard short-circuit in
-    :func:`execute_shard` is what yields exactly-once accounting.
+    :func:`execute_shard` is what yields exactly-once accounting.  Its
+    transactions pass the same ``store.tx`` fault point as the queue's.
     """
 
-    def __init__(self, path: "str | os.PathLike", *, busy_timeout: float = 30.0):
-        self.path = Path(path)
-        self._busy_ms = int(busy_timeout * 1000)
-        self._local = threading.local()
-        if self.path.parent and not self.path.parent.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn().executescript(_SCHEMA)
-
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(
-                self.path, timeout=self._busy_ms / 1000.0, isolation_level=None
-            )
-            conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={self._busy_ms}")
-            self._local.conn = conn
-        return conn
-
-    class _tx_ctx:
-        def __init__(self, conn: sqlite3.Connection):
-            self.conn = conn
-
-        def __enter__(self) -> sqlite3.Connection:
-            self.conn.execute("BEGIN IMMEDIATE")
-            return self.conn
-
-        def __exit__(self, exc_type, exc, tb) -> None:
-            if exc_type is None:
-                self.conn.execute("COMMIT")
-            else:
-                self.conn.execute("ROLLBACK")
-
-    def _tx(self) -> "_tx_ctx":
-        return self._tx_ctx(self._conn())
-
-    def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            conn.close()
-            self._local.conn = None
+    SCHEMA = _SCHEMA
 
     # -- campaigns ----------------------------------------------------------
 

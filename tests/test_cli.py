@@ -72,16 +72,22 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert f"unrecognized arguments: {flag}" in err
 
-    def test_only_batch_has_an_executor(self, capsys):
-        """``--executor`` is ``local`` or ``queue``, on ``repro batch`` only;
-        a worker count below 1 is a usage error everywhere."""
+    def test_no_command_has_an_executor(self, capsys):
+        """No command takes ``--executor`` or the queue flags ``repro
+        batch`` once had; a worker count below 1 is a usage error
+        everywhere."""
         for argv, message in (
             # fuzz reads the stray value as its subcommand.
             (["fuzz", "--executor", "thread"], "invalid choice: 'thread'"),
             (["check", "--suite", "examples/specs", "--executor", "process"],
              "unrecognized arguments: --executor"),
-            (["batch", "--executor", "thread"], "choose from 'local', 'queue'"),
-            (["batch", "--executor", "process"], "choose from 'local', 'queue'"),
+            (["batch", "--executor", "queue"],
+             "unrecognized arguments: --executor queue"),
+            (["batch", "--executor", "local"],
+             "unrecognized arguments: --executor local"),
+            (["batch", "--db", "jobs.sqlite3"],
+             "unrecognized arguments: --db jobs.sqlite3"),
+            (["batch", "--timeout", "5"], "unrecognized arguments: --timeout 5"),
             (["batch", "--jobs", "0"], "--jobs"),
             (["check", "--suite", "examples/specs", "--jobs", "0"], "--jobs"),
             (["fuzz", "--jobs", "-1"], "--jobs"),
@@ -186,15 +192,6 @@ class TestBatchExitCode:
         assert "FAILED" in text and "ValidationError" in text
         # The good program still completed and is reported normally.
         assert "good" in text and "1 failed" in text
-
-    def test_queue_flags_need_the_queue_executor(self, tmp_path):
-        db = tmp_path / "jobs.sqlite3"
-        for extra in (["--db", str(db)], ["--timeout", "1"],
-                      ["--db", str(db), "--timeout", "1"]):
-            out = io.StringIO()
-            assert run(["batch", "--prefix", "geo", *extra], out=out) == 2
-            assert "needs --executor queue" in out.getvalue(), extra
-        assert not db.exists()
 
     def test_batch_all_green_exits_zero(self, monkeypatch):
         self._patch_registry(monkeypatch, {"good": RDWALK})

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.programs.fuzz import (
     FuzzConfig,
     bucket_signature,
@@ -167,6 +168,18 @@ class TestCampaignStore:
             store.create_campaign(
                 "drift", small_config(seed_count=9), tmp_path / "dir"
             )
+
+    def test_transactions_pass_the_store_tx_fault_point(self, tmp_path):
+        """Campaign tables open their transactions through the job store's
+        plumbing, so an armed ``store.tx`` fault aborts them too."""
+        store = CampaignStore(tmp_path / "c.db")
+        faults.configure("store.tx:raise:1:0")
+        try:
+            with pytest.raises(faults.FaultInjected):
+                store.create_campaign("faulty", small_config(), tmp_path / "dir")
+        finally:
+            faults.configure("")
+        assert store.get_campaign("faulty") is None
 
 
 # ---------------------------------------------------------------------------

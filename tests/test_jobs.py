@@ -1,17 +1,19 @@
-"""Worker fleet, queue-backed endpoints, metrics, and queue-mode batch.
+"""Worker fleet, queue-backed endpoints, and metrics.
 
 Complements ``tests/test_jobstore.py`` (pure store properties) with the
 layers above it: :mod:`repro.service.jobs` (worker processes, payload
-validation), :mod:`repro.service.metrics`, the rewritten HTTP server, the
-``queue`` batch executor, and the ``repro jobs`` / ``repro batch --quiet``
-CLI surface.
+validation), :mod:`repro.service.metrics`, the rewritten HTTP server, and
+the ``repro jobs`` / ``repro batch --quiet`` CLI surface.
 """
 
 import io
 import json
+import os
 import re
+import signal
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -20,7 +22,6 @@ import pytest
 from repro.analysis.pipeline import AnalysisOptions
 from repro.cli import run as cli_run
 from repro.service.cache import ArtifactCache
-from repro.service.executor import run_batch
 from repro.policy.parser import parse_spec
 from repro.service.jobs import (
     JobFailure,
@@ -264,26 +265,81 @@ class TestWorkerPool:
         assert pool.respawned >= 1
 
     def test_drain_and_exit_fleet_outlives_backoff_retries(self, store):
-        """Drain workers must not exit while a retry is parked in backoff."""
+        """``repro jobs drain`` must not stop its fleet while a retry is
+        parked in backoff: the parked job still counts as owed work."""
         job_id, _ = store.enqueue(
             {"message": "flaky", "retryable": True}, kind="fail",
             max_attempts=3,
         )
-        pool = WorkerPool(
-            store.path, 1, visibility=5.0, poll=0.05, drain_and_exit=True
+        out = io.StringIO()
+        code = cli_run(
+            ["jobs", "drain", "--db", str(store.path), "--workers", "1",
+             "--visibility", "5", "--timeout", "60"],
+            out=out,
         )
-        pool.start()
-        assert pool.join(timeout=60.0)
+        assert code == 0 and "1 dead" in out.getvalue()
         job = store.get(job_id)
         assert job.state == "dead" and job.attempts == 3
+
+    def test_drain_respawns_a_killed_worker(self, store):
+        """SIGKILL the one worker of ``repro jobs drain`` mid-job: the
+        fleet respawns it, the lease expires, and the drain finishes the
+        job on its second attempt instead of waiting out its timeout."""
+        job_id, _ = store.enqueue({"seconds": 2.0}, kind="sleep")
+        codes = []
+        drain = threading.Thread(
+            target=lambda: codes.append(cli_run(
+                ["jobs", "drain", "--db", str(store.path), "--workers", "1",
+                 "--visibility", "2", "--timeout", "20"],
+                out=io.StringIO(),
+            )),
+        )
+        drain.start()
+        try:
+            deadline = time.time() + 15.0
+            while store.get(job_id).state != "leased" and time.time() < deadline:
+                time.sleep(0.02)
+            job = store.get(job_id)
+            assert job.state == "leased"
+            # lease_owner is "host:pid:worker:nonce".
+            os.kill(int(job.lease_owner.rsplit(":", 3)[1]), signal.SIGKILL)
+        finally:
+            drain.join(timeout=60.0)
+        assert codes == [0]
+        job = store.get(job_id)
+        assert job.state == "done" and job.attempts == 2
 
     def test_worker_main_in_process_drain(self, store):
         ids = [store.enqueue({"seconds": 0.0}, kind="sleep")[0] for _ in range(3)]
         executed = worker_main(
-            str(store.path), visibility=5.0, poll=0.05, drain_and_exit=True
+            str(store.path), visibility=5.0, poll=0.05, max_jobs=3
         )
         assert executed == 3
         assert all(job.state == "done" for job in store.iter_jobs(ids))
+
+
+class TestWaitForJobs:
+    def test_pauses_start_at_1ms_and_double_up_to_poll(self, store, monkeypatch):
+        """A job acked between two reads is seen a few ms later, not a
+        whole ``poll`` later; the pause never grows past ``poll``."""
+        job_id, _ = store.enqueue({"seconds": 0}, kind="sleep")
+        pauses = []
+
+        def sleep(seconds):
+            pauses.append(seconds)
+            if len(pauses) == 9:
+                job = store.lease("w")
+                assert store.ack(job.id, "w", {"ok": True})
+
+        monkeypatch.setattr(
+            "repro.service.jobs.time",
+            types.SimpleNamespace(time=time.time, sleep=sleep),
+        )
+        (job,) = wait_for_jobs(store, [job_id], timeout=30.0, poll=0.05)
+        assert job.state == "done"
+        assert pauses == pytest.approx(
+            [0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.05, 0.05, 0.05]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -674,77 +730,6 @@ class TestWake:
 
 
 # ---------------------------------------------------------------------------
-# Queue-mode batch executor
-# ---------------------------------------------------------------------------
-
-
-class TestQueueBatch:
-    def test_matches_local_executor(self, tmp_path):
-        from repro import parse_program
-
-        programs = {"simple": parse_program(SIMPLE)}
-        options = AnalysisOptions(
-            moment_degree=1, objective_valuations=({"d": 4.0},)
-        )
-        local = run_batch(programs, options=options)
-        queued = run_batch(
-            programs, options=options, executor="queue", jobs=1,
-            cache=ArtifactCache(tmp_path / "cache"),
-        )
-        assert queued.ok and local.ok
-        item = queued.items[0]
-        assert item.job_id is not None and item.result is None
-        bounds = lambda text: [  # noqa: E731 -- summaries embed timings
-            line for line in text.splitlines() if " in [" in line
-        ]
-        assert bounds(item.summary) == bounds(local.items[0].summary)
-        low, high = item.payload["result"]["evaluated"]["E[C^1]"]
-        assert low <= 4.0 <= high
-
-    def test_structured_failures_are_items_not_exceptions(self, tmp_path):
-        from repro import parse_program
-
-        programs = {
-            "ok": parse_program(SIMPLE),
-            "broken": parse_program(BROKEN),
-        }
-        options = AnalysisOptions(
-            moment_degree=1, objective_valuations=({"d": 4.0},)
-        )
-        report = run_batch(
-            programs, options=options, executor="queue", jobs=1, timeout=120.0
-        )
-        assert not report.ok
-        by_name = {item.name: item for item in report.items}
-        assert by_name["ok"].ok
-        failed = by_name["broken"]
-        assert not failed.ok and failed.error and "ValidationError" in failed.error
-
-    def test_external_store_is_shared(self, tmp_path):
-        from repro import parse_program
-
-        db = tmp_path / "shared.sqlite3"
-        store = JobStore(db, visibility=5.0)
-        pool = WorkerPool(db, 1, visibility=5.0, poll=0.05).start()
-        try:
-            report = run_batch(
-                {"simple": parse_program(SIMPLE)},
-                options=AnalysisOptions(
-                    moment_degree=1, objective_valuations=({"d": 4.0},)
-                ),
-                executor="queue",
-                store=store,
-                timeout=90.0,
-            )
-            assert report.ok
-            # The job is visible in the shared store afterwards: durable.
-            job = store.get(report.items[0].job_id)
-            assert job is not None and job.state == "done"
-        finally:
-            pool.stop(graceful=True, timeout=20.0)
-
-
-# ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
 
@@ -868,22 +853,3 @@ class TestBatchQuiet:
         assert "rdwalk-var1" in out_full.getvalue()
         assert "E[C] interval" not in out_quiet.getvalue()
         assert "1 programs" in out_quiet.getvalue()
-
-    def test_queue_executor_cli_parity(self, monkeypatch):
-        out_local, out_queue = io.StringIO(), io.StringIO()
-        assert (
-            cli_run(["batch", "--prefix", "rdwalk-var1"], out=out_local) == 0
-        )
-        assert (
-            cli_run(
-                ["batch", "--prefix", "rdwalk-var1", "--executor", "queue",
-                 "--jobs", "1"],
-                out=out_queue,
-            )
-            == 0
-        )
-        row = lambda text: next(  # noqa: E731
-            line for line in text.splitlines() if line.startswith("rdwalk-var1")
-        )
-        # Same bounds columns; timings differ, so compare up to LP vars.
-        assert row(out_local.getvalue())[:55] == row(out_queue.getvalue())[:55]

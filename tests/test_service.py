@@ -335,7 +335,7 @@ class TestBatchExecutor:
         cache = ArtifactCache(tmp_path)
         report = run_batch(self._workload(), jobs=jobs, cache=cache)
         assert report.ok
-        assert (report.executor, report.jobs) == ("local", jobs)
+        assert report.jobs == jobs
         assert [item.name for item in report.items] == ["rdwalk", "simple"]
         sequential = {
             name: analyze(program, opts)
@@ -388,16 +388,10 @@ class TestBatchExecutor:
         _, disk_after = cache.entry_count()
         assert disk_after == disk_entries
 
-    def test_unknown_executor_rejected(self):
-        for executor in ("fiber", "thread", "process"):
-            with pytest.raises(ValueError, match="unknown executor"):
-                run_batch({}, executor=executor)
-
-    @pytest.mark.parametrize("executor", ["local", "queue"])
-    def test_jobs_below_one_rejected(self, executor):
+    def test_jobs_below_one_rejected(self):
         for jobs in (0, -1):
             with pytest.raises(ValueError, match="jobs must be at least 1"):
-                run_batch({}, jobs=jobs, executor=executor)
+                run_batch({}, jobs=jobs)
 
 
 def _last_line_of(code: str, cwd) -> str:
